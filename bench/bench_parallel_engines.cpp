@@ -9,6 +9,7 @@
 #include "gammaflow/analysis/analysis.hpp"
 #include "gammaflow/analysis/interference.hpp"
 #include "gammaflow/common/rng.hpp"
+#include "gammaflow/common/strings.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
 #include "gammaflow/obs/telemetry.hpp"
@@ -48,7 +49,7 @@ gamma::Multiset chain_init(std::size_t chains, std::size_t per_chain,
   for (std::size_t i = 0; i < chains; ++i) {
     for (std::size_t k = 0; k < per_chain; ++k) {
       m.add(gamma::Element::labeled(Value(countdown),
-                                    "c" + std::to_string(i)));
+                                    str_cat("c", i)));
     }
   }
   return m;

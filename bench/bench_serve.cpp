@@ -21,6 +21,7 @@
 
 #include "bench_util.hpp"
 #include "gammaflow/common/rng.hpp"
+#include "gammaflow/common/strings.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
 #include "gammaflow/obs/telemetry.hpp"
@@ -56,9 +57,9 @@ const char* kMin = "Rmin = replace x, y by x where x < y";
 std::string k_label_program(std::size_t k) {
   std::string text;
   for (std::size_t i = 0; i < k; ++i) {
-    const std::string label = "L" + std::to_string(i);
-    text += "R" + std::to_string(i) + " = replace [a,'" + label + "'], [b,'" +
-            label + "'] by [a + b, '" + label + "']\n";
+    const std::string label = str_cat("L", i);
+    text += str_cat("R", i, " = replace [a,'", label, "'], [b,'", label,
+                    "'] by [a + b, '", label, "']\n");
   }
   return text;
 }
@@ -112,7 +113,7 @@ struct Daemon {
       return d;
     }
     d.socket_path =
-        "/tmp/gf_bench_serve_" + std::to_string(::getpid()) + ".sock";
+        str_cat("/tmp/gf_bench_serve_", ::getpid(), ".sock");
     serve::ServeOptions opts;
     opts.socket_path = d.socket_path;
     opts.default_program = kMin;
@@ -171,7 +172,7 @@ void scripted_differential(Daemon& daemon) {
         elements += std::to_string(v) + " ";
       } else {
         all.add(gamma::Element::labeled(Value(v), "acc"));
-        elements += "[" + std::to_string(v) + ",'acc'] ";
+        elements += str_cat("[", v, ",'acc'] ");
       }
       ++injected;
     }
@@ -214,7 +215,7 @@ void sparse_touch_sweep(Daemon& daemon, obs::Telemetry& tel) {
     std::string init;
     for (std::size_t i = 0; i < k; ++i) {
       for (int v = 0; v < 8; ++v) {
-        init += "[" + std::to_string(v) + ",'L" + std::to_string(i) + "'] ";
+        init += str_cat("[", v, ",'L", i, "'] ");
       }
     }
     for (const bool rescan : {false, true}) {
@@ -226,11 +227,10 @@ void sparse_touch_sweep(Daemon& daemon, obs::Telemetry& tel) {
       Rng rng(23);
       for (int j = 0; j < 200; ++j) {
         const std::string label =
-            "L" + std::to_string(static_cast<std::size_t>(j) % k);
+            str_cat("L", static_cast<std::size_t>(j) % k);
         const serve::Json reply = expect_ok(
             client->call(inject_line(
-                session, "[" + std::to_string(rng.bounded(100)) + ",'" +
-                             label + "']")),
+                session, str_cat("[", rng.bounded(100), ",'", label, "']"))),
             "inject");
         quiesce.push_back(reply.num_or("quiesce_us", 0.0));
       }
@@ -240,7 +240,7 @@ void sparse_touch_sweep(Daemon& daemon, obs::Telemetry& tel) {
       const std::int64_t rematches = stats.int_or("rematches", 0);
       table.row(k, mode, pct(quiesce, 0.50), pct(quiesce, 0.99), wakeups,
                 rematches);
-      const std::string key = "serve.k" + std::to_string(k) + "." + mode;
+      const std::string key = str_cat("serve.k", k, ".", mode);
       tel.stats().count(key + ".rematches",
                         static_cast<std::uint64_t>(rematches));
       auto& hist = tel.stats().hist(key + ".quiesce_us");
@@ -264,7 +264,7 @@ void batch_sparse_touch_sweep(obs::Telemetry& tel) {
   std::string init;
   for (std::size_t i = 0; i < k; ++i) {
     for (int v = 0; v < 8; ++v) {
-      init += "[" + std::to_string(v) + ",'L" + std::to_string(i) + "'] ";
+      init += str_cat("[", v, ",'L", i, "'] ");
     }
   }
   obs::StoreCounts snaps[2];
@@ -280,11 +280,10 @@ void batch_sparse_touch_sweep(obs::Telemetry& tel) {
     Rng rng(23);
     for (int j = 0; j < 200; ++j) {
       const std::string label =
-          "L" + std::to_string(static_cast<std::size_t>(j) % k);
+          str_cat("L", static_cast<std::size_t>(j) % k);
       const serve::Json reply = expect_ok(
           server.handle_line(inject_line(
-              "e18", "[" + std::to_string(rng.bounded(100)) + ",'" + label +
-                         "']")),
+              "e18", str_cat("[", rng.bounded(100), ",'", label, "']"))),
           "inject");
       quiesce.push_back(reply.num_or("quiesce_us", 0.0));
     }
@@ -324,8 +323,7 @@ void closed_loop_sweep(Daemon& daemon, obs::Telemetry& tel) {
     for (std::size_t c = 0; c < clients; ++c) {
       workers.emplace_back([&, c] {
         const auto client = daemon.connect();
-        const std::string session = "cl" + std::to_string(clients) + "_" +
-                                    std::to_string(c);
+        const std::string session = str_cat("cl", clients, "_", c);
         expect_ok(client->call(create_line(session, kMin, "1000000", false)),
                   "create");
         Rng rng(41 + c);
@@ -349,8 +347,8 @@ void closed_loop_sweep(Daemon& daemon, obs::Telemetry& tel) {
     }
     table.row(clients, rtt.size(), pct(rtt, 0.50), pct(rtt, 0.99),
               pct(quiesce, 0.50), pct(quiesce, 0.99));
-    auto& hist = tel.stats().hist("serve.closed_c" + std::to_string(clients) +
-                                  ".rtt_us");
+    auto& hist =
+        tel.stats().hist(str_cat("serve.closed_c", clients, ".rtt_us"));
     for (const double r : rtt) hist.observe(r);
   }
 }
@@ -367,7 +365,7 @@ void open_loop_sweep(Daemon& daemon, obs::Telemetry& tel) {
   for (const double rate : {2000.0, 20000.0}) {
     const int n = 400;
     const auto client = daemon.connect();
-    const std::string session = "ol" + std::to_string(static_cast<int>(rate));
+    const std::string session = str_cat("ol", static_cast<int>(rate));
     expect_ok(client->call(create_line(session, kMin, "1000000", false)),
               "create");
 
@@ -394,7 +392,7 @@ void open_loop_sweep(Daemon& daemon, obs::Telemetry& tel) {
     expect_ok(client->call(simple_line("close", session)), "close");
     table.row(rate, n, pct(lat, 0.50), pct(lat, 0.99));
     auto& hist = tel.stats().hist(
-        "serve.open_r" + std::to_string(static_cast<int>(rate)) + ".lat_us");
+        str_cat("serve.open_r", static_cast<int>(rate), ".lat_us"));
     for (const double l : lat) hist.observe(l);
   }
 }
@@ -431,16 +429,16 @@ void BM_Serve_SparseTouchInject(benchmark::State& state) {
   std::string init;
   for (std::size_t i = 0; i < k; ++i) {
     for (int v = 0; v < 8; ++v) {
-      init += "[" + std::to_string(v) + ",'L" + std::to_string(i) + "'] ";
+      init += str_cat("[", v, ",'L", i, "'] ");
     }
   }
   (void)server.handle_line(create_line("s", k_label_program(k), init, rescan));
   Rng rng(7);
   std::uint64_t j = 0;
   for (auto _ : state) {
-    const std::string label = "L" + std::to_string(j++ % k);
+    const std::string label = str_cat("L", j++ % k);
     benchmark::DoNotOptimize(server.handle_line(inject_line(
-        "s", "[" + std::to_string(rng.bounded(100)) + ",'" + label + "']")));
+        "s", str_cat("[", rng.bounded(100), ",'", label, "']"))));
   }
   state.SetLabel(std::string(rescan ? "rescan" : "worklist") +
                  (batch ? "" : "+no-batch"));

@@ -22,6 +22,7 @@
 #include "bench_util.hpp"
 #include "gammaflow/analysis/interference.hpp"
 #include "gammaflow/common/rng.hpp"
+#include "gammaflow/common/strings.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
 #include "gammaflow/gamma/store.hpp"
@@ -53,7 +54,7 @@ gamma::Multiset chain_init(std::size_t chains, std::size_t total,
   for (std::size_t k = 0; k < total; ++k) {
     const std::size_t chain = k < hot ? 0 : k % chains;
     m.add(gamma::Element::labeled(Value(countdown),
-                                  "c" + std::to_string(chain)));
+                                  str_cat("c", chain)));
   }
   return m;
 }
@@ -154,7 +155,10 @@ void verify() {
 
   // E18 — dense-match ablation: the identical EXHAUSTIVE failed search
   // (every [x,'h'] pair probed, the condition false everywhere — one
-  // quiescence proof) under all three evaluators. Under EvalMode::Batch the
+  // quiescence proof) under all three evaluators. The read-only find runs
+  // it: the mutating one keeps refutation watermarks, so a repeated miss
+  // proof on one store would skip every pair after the first rep. Under
+  // EvalMode::Batch the
   // innermost bucket sweep becomes one bitmap evaluation per outer binding;
   // the probe answers are identical (no match, checked every rep) and the
   // fixpoint row proves the hit path agrees element-for-element too.
@@ -167,7 +171,7 @@ void verify() {
     const gamma::Reaction& r = p.stages()[0][0];
     MetricsSnapshot metrics;
     for (const std::size_t n : {256u, 1024u, 2048u}) {
-      gamma::Store store(labeled_ints(n, 17));
+      const gamma::Store store(labeled_ints(n, 17));
       // O(n^2) probes per sweep: keep the repetition budget flat-ish so the
       // verification stage stays CI-sized even on debug builds.
       const int reps = n >= 2048 ? 1 : (n >= 1024 ? 3 : 10);
@@ -258,12 +262,13 @@ BENCHMARK(BM_StoreFind_Hit)
 /// A disabled probe (condition never holds): the cost of an EXHAUSTIVE
 /// failed search — the fixed-point proof every quiescence check pays, and
 /// the dense-match sweep where the batch bitmap pays off most (every
-/// candidate bucket is evaluated to the end).
+/// candidate bucket is evaluated to the end). Read-only find, so no
+/// refutation watermark turns the repeats into no-ops.
 void BM_StoreFind_MissProof(benchmark::State& state) {
   const gamma::Program p = gamma::dsl::parse_program(
       "R = replace [x,'h'], [y,'h'] by [x,'h'] where x < 0");
-  gamma::Store store(labeled_ints(static_cast<std::size_t>(state.range(0)),
-                                  17));
+  const gamma::Store store(labeled_ints(
+      static_cast<std::size_t>(state.range(0)), 17));
   const gamma::Reaction& r = p.stages()[0][0];
   const expr::EvalMode mode = eval_mode(state.range(1));
   for (auto _ : state) {

@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "gammaflow/common/strings.hpp"
+
 namespace gammaflow::analysis {
 
 using dataflow::Edge;
@@ -23,7 +25,7 @@ namespace {
 std::string node_ref(const Graph& g, NodeId id) {
   const std::string& name = g.node(id).name;
   if (!name.empty()) return name;
-  return "#" + std::to_string(id);
+  return str_cat("#", id);
 }
 
 void add(LintReport& report, Severity severity, std::string check,

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "gammaflow/common/strings.hpp"
+
 namespace gammaflow::dataflow {
 
 const std::vector<EdgeId> Graph::kNoEdges;
@@ -220,7 +222,7 @@ EdgeId GraphBuilder::connect(Port src, NodeId dst, PortId dst_port,
                              std::string_view label) {
   std::string label_str(label);
   if (label_str.empty()) {
-    label_str = "e" + std::to_string(next_auto_label_++);
+    label_str = str_cat("e", next_auto_label_++);
   }
   Edge e{src.node, src.port, dst, dst_port, Label(label_str)};
   const auto eid = static_cast<EdgeId>(graph_.edges_.size());

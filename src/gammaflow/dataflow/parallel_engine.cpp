@@ -94,14 +94,9 @@ class ParallelRun {
             graph_.node(root).kind)];
       }
       total_fires_.fetch_add(1, std::memory_order_relaxed);
-      std::vector<std::string> produced;
-      route_emission(root, f, jrec_ != nullptr ? &produced : nullptr);
-      if (jrec_ != nullptr) {
-        obs::FireRecord fr;
-        fr.reaction = node_label(root);
-        fr.produced = std::move(produced);
-        jrec_->fire(std::move(fr));
-      }
+      obs::FireRecord fr;
+      if (jrec_ != nullptr) fr.reaction = node_label(root);
+      route_emission(root, f, jrec_ != nullptr ? &fr : nullptr);
     }
     for (const auto& [label, token] : extra_tokens) {
       const auto eid = graph_.find_edge(label);
@@ -223,15 +218,26 @@ class ParallelRun {
     workers_[owner(node)].inbox.push(Routed{node, port, std::move(token)});
   }
 
+  /// Publishes a firing's emissions. When recording, `fr` gets the
+  /// produced tokens and is journaled BEFORE any send: a peer PE may absorb
+  /// a token the moment it is published and journal its own fire, so
+  /// journaling after the sends could order a consumer ahead of its
+  /// producer and break fire replay.
   void route_emission(NodeId node, const Firing& firing,
-                      std::vector<std::string>* produced = nullptr) {
+                      obs::FireRecord* fr) {
+    if (fr != nullptr) {
+      if (firing.emits) {
+        for (const EdgeId eid : graph_.out_edges(node, firing.port)) {
+          const Edge& e = graph_.edge(eid);
+          fr->produced.push_back(journal_token_str(
+              graph_, e.dst, e.dst_port, firing.tag, firing.value));
+        }
+      }
+      jrec_->fire(std::move(*fr));
+    }
     if (!firing.emits) return;
     for (const EdgeId eid : graph_.out_edges(node, firing.port)) {
       const Edge& e = graph_.edge(eid);
-      if (produced != nullptr) {
-        produced->push_back(journal_token_str(graph_, e.dst, e.dst_port,
-                                              firing.tag, firing.value));
-      }
       send(e.dst, e.dst_port, Token{firing.value, firing.tag});
     }
   }
@@ -383,8 +389,7 @@ class ParallelRun {
         tag_hist_->observe(static_cast<double>(firing.tag));
       }
     }
-    route_emission(routed.node, firing, jrec_ != nullptr ? &fr.produced : nullptr);
-    if (jrec_ != nullptr) jrec_->fire(std::move(fr));
+    route_emission(routed.node, firing, jrec_ != nullptr ? &fr : nullptr);
   }
 
   const Graph& graph_;

@@ -1,6 +1,7 @@
 #include "gammaflow/gamma/reaction.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <ostream>
 #include <set>
@@ -11,7 +12,12 @@
 
 namespace gammaflow::gamma {
 
-CompiledReaction::CompiledReaction(const Reaction& reaction) {
+namespace {
+std::atomic<std::uint64_t> g_next_memo_key{1};
+}  // namespace
+
+CompiledReaction::CompiledReaction(const Reaction& reaction)
+    : memo_key_(g_next_memo_key.fetch_add(1, std::memory_order_relaxed)) {
   const auto t0 = std::chrono::steady_clock::now();
   for (const Pattern& p : reaction.patterns()) {
     for (const PatternField& f : p.fields()) {

@@ -104,6 +104,9 @@ class CompiledReaction {
   [[nodiscard]] const std::vector<BranchCode>& branches() const noexcept {
     return branches_;
   }
+  /// Process-unique key of this compiled reaction (shared by Reaction
+  /// copies, never reused): what a Store keys its refutation memo by.
+  [[nodiscard]] std::uint64_t memo_key() const noexcept { return memo_key_; }
   /// Wall time spent compiling this reaction (`expr.compile_ms` metric).
   [[nodiscard]] double compile_ms() const noexcept { return compile_ms_; }
   /// Total bytecode instructions across all chunks.
@@ -122,6 +125,7 @@ class CompiledReaction {
   std::vector<std::string> slots_;
   std::vector<BranchCode> branches_;
   std::optional<BatchPlan> batch_;
+  std::uint64_t memo_key_;
   double compile_ms_ = 0.0;
 };
 

@@ -54,7 +54,9 @@ Store::Id Store::insert(Element e) {
     locs_.push_back(Loc{});
     alive_.push_back(true);
     generations_.push_back(0);
+    births_.push_back(0);
   }
+  births_[id] = ++inserts_;
 
   const std::size_t arity = e.arity();
   const std::uint32_t gi = group_for_arity(arity);
@@ -166,6 +168,19 @@ const Store::Bucket* Store::bucket(const Pattern& p) const {
   }
   auto it = arity_index_.find(p.arity());
   return it == arity_index_.end() ? nullptr : &it->second;
+}
+
+std::vector<Store::Refutation>& Store::refutations(std::uint64_t key) {
+  std::vector<Refutation>& memo = refutations_[key];
+  if (memo.size() < locs_.size()) memo.resize(locs_.size());
+  return memo;
+}
+
+std::vector<Store::Refutation>* Store::find_refutations(std::uint64_t key) {
+  const auto it = refutations_.find(key);
+  if (it == refutations_.end()) return nullptr;
+  if (it->second.size() < locs_.size()) it->second.resize(locs_.size());
+  return &it->second;
 }
 
 const std::vector<Store::Entry>& Store::candidates(const Pattern& p) {

@@ -14,6 +14,14 @@
 // bucket AND rewrites column groups densely (inserts self-trigger it once
 // the dead-row debt crosses the threshold, so long worklist runs stay O(live)).
 //
+// Every slot occupancy is stamped with its BIRTH, a monotone insert
+// sequence number. Buckets append in insert order and pruning keeps that
+// order, so a pruned bucket is sorted by birth: "the candidates inserted
+// since time W" is a bucket suffix. The per-reaction refutation memo
+// (refutations()) records, per depth-0 candidate, the insert count at which
+// its whole search subtree last failed; the match pipeline uses it to skip
+// tuples that already failed (semi-naive matching, DESIGN §15.5).
+//
 // The matching machinery itself (backtracking candidate search, batch
 // bitmap evaluation, match revalidation, commit) lives in
 // runtime/match_pipeline.hpp — one implementation for every engine. The
@@ -85,6 +93,17 @@ class Store {
     [[nodiscard]] Value field_value(std::size_t row, std::size_t f) const;
   };
 
+  /// Refutation watermark of one slot occupancy for one reaction: when the
+  /// occupancy with generation `gen` was last tried as the FIRST element of
+  /// a match, every tuple whose other members were born at or before
+  /// `watermark` failed. Conditions are pure and patterns positive, so
+  /// those tuples fail for as long as their elements live. A default entry
+  /// ({0, 0}) is vacuous: no element is born at or before insert 0.
+  struct Refutation {
+    std::uint32_t gen = 0;
+    std::uint64_t watermark = 0;
+  };
+
   /// Where an id's current occupant lives in the column groups.
   struct RowRef {
     const ColumnGroup* group = nullptr;
@@ -122,6 +141,25 @@ class Store {
   [[nodiscard]] bool match_pattern(const Pattern& p, Id id,
                                    expr::Env& env) const;
   [[nodiscard]] std::size_t size() const noexcept { return live_count_; }
+
+  /// Monotone count of inserts so far; the next occupancy is born at
+  /// inserts() + 1.
+  [[nodiscard]] std::uint64_t inserts() const noexcept { return inserts_; }
+  /// Insert sequence number of `id`'s current occupant (1-based). Entries of
+  /// a pruned bucket are sorted by it. Precondition: alive(id).
+  [[nodiscard]] std::uint64_t birth(Id id) const noexcept {
+    return births_[id];
+  }
+
+  /// The refutation memo of the reaction whose CompiledReaction::memo_key()
+  /// is `key`: one entry per slot id, grown to the current slot count.
+  /// Valid until the next insert (which may add slots). Keyed by a
+  /// process-unique key rather than a Reaction pointer, since reactions can
+  /// be freed and their addresses reused while a store lives.
+  [[nodiscard]] std::vector<Refutation>& refutations(std::uint64_t key);
+  /// The same memo when one exists (grown to the current slot count), else
+  /// null — lookups need not allocate one.
+  [[nodiscard]] std::vector<Refutation>* find_refutations(std::uint64_t key);
 
   /// The bucket the pattern probes: the (field,value) bucket when the
   /// pattern carries a literal constraint, otherwise the arity bucket; null
@@ -202,11 +240,14 @@ class Store {
   std::vector<Loc> locs_;
   std::vector<bool> alive_;
   std::vector<std::uint32_t> generations_;
+  std::vector<std::uint64_t> births_;
   std::vector<Id> free_list_;
   std::size_t live_count_ = 0;
   std::uint64_t dead_rows_ = 0;
   std::uint64_t version_ = 0;
+  std::uint64_t inserts_ = 0;
   std::uint64_t column_compactions_ = 0;
+  std::unordered_map<std::uint64_t, std::vector<Refutation>> refutations_;
   std::unordered_map<FieldKey, Bucket, FieldKeyHash> field_index_;
   std::unordered_map<std::size_t, Bucket> arity_index_;
   static const std::vector<Entry> kEmpty;

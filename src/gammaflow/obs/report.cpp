@@ -30,6 +30,19 @@ void write_report(std::ostream& os, const MetricsSnapshot& metrics) {
          << " p99=" << h.quantile(0.99) << " max=" << h.max << '\n';
     }
   }
+  // Probe efficiency: candidates a match search examined per fire — the
+  // number that exposes an O(n^2) search.
+  const auto end = metrics.counters.end();
+  const auto probes = metrics.counters.find("gamma.probes");
+  auto fires = metrics.counters.find("gamma.fires");
+  if (fires == end) fires = metrics.counters.find("distrib.fires");
+  if (probes != end && fires != end && fires->second > 0) {
+    os << "derived:\n  " << std::left << std::setw(36)
+       << "gamma.probes_per_fire" << std::right << std::setw(14)
+       << static_cast<double>(probes->second) /
+              static_cast<double>(fires->second)
+       << '\n';
+  }
   if (metrics.empty()) os << "(no metrics recorded)\n";
 }
 

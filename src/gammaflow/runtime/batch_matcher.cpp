@@ -45,7 +45,7 @@ bool fields_equal(const Store::ColumnGroup& g, std::uint32_t row,
 
 bool BatchMatcher::begin(const gamma::Store& store,
                          const gamma::Reaction& reaction,
-                         const std::vector<gamma::Store::Entry>& entries,
+                         std::span<const gamma::Store::Entry> entries,
                          const expr::Env& outer_env) {
   const CompiledReaction& compiled = reaction.compiled();
   const CompiledReaction::BatchPlan* plan = compiled.batch_plan();
@@ -53,7 +53,7 @@ bool BatchMatcher::begin(const gamma::Store& store,
 
   store_ = &store;
   plan_ = plan;
-  entries_ = &entries;
+  entries_ = entries;
   const std::vector<std::string>& slots = compiled.slots();
 
   // Outer bindings: EqSlot comparands (any kind — compared per lane) and
@@ -94,7 +94,7 @@ bool BatchMatcher::begin(const gamma::Store& store,
 }
 
 bool BatchMatcher::chunk(std::size_t start, std::size_t t, std::size_t width) {
-  const std::vector<Store::Entry>& entries = *entries_;
+  const std::span<const Store::Entry> entries = entries_;
   const std::size_t n = entries.size();
 
   rows_.resize(width);

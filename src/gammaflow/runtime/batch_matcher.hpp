@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "gammaflow/expr/bytecode.hpp"
@@ -39,7 +40,8 @@ class BatchMatcher {
   static constexpr std::size_t kMinChunk = 64;
   static constexpr std::size_t kMaxChunk = 1024;
 
-  /// Prepares a sweep of `entries` (the innermost candidate bucket) for
+  /// Prepares a sweep of `entries` (the innermost candidate bucket, or the
+  /// suffix of it a refutation watermark leaves to scan) for
   /// `reaction` under the outer bindings `outer_env`. False when this visit
   /// cannot be batch-evaluated — no plan (unbatchable reaction), or an
   /// outer binding feeding a guard is not Int — and the caller keeps the
@@ -47,7 +49,7 @@ class BatchMatcher {
   /// chunk() calls of this sweep.
   [[nodiscard]] bool begin(const gamma::Store& store,
                            const gamma::Reaction& reaction,
-                           const std::vector<gamma::Store::Entry>& entries,
+                           std::span<const gamma::Store::Entry> entries,
                            const expr::Env& outer_env);
 
   /// Computes fire bits for scan positions [t, t+width) of the cyclic scan
@@ -64,7 +66,7 @@ class BatchMatcher {
  private:
   const gamma::Store* store_ = nullptr;
   const gamma::CompiledReaction::BatchPlan* plan_ = nullptr;
-  const std::vector<gamma::Store::Entry>* entries_ = nullptr;
+  std::span<const gamma::Store::Entry> entries_;
   bool any_condition_ = false;
 
   expr::BatchVm vm_;

@@ -8,7 +8,10 @@
 //
 //   find      — one enabled match (first in bucket order, or randomized via
 //               a cyclic start offset when given an Rng). The mutating
-//               overload prunes stale index entries in place; the const
+//               overload prunes stale index entries in place and is
+//               semi-naive: it keeps per-reaction refutation watermarks in
+//               the store so a tuple that failed is never re-tried, with
+//               the same result and rng stream as a full search; the const
 //               overload (concurrent searchers under a shared lock) leaves
 //               them — the dead rows behind them are already counted in
 //               Store::dead_rows(), the compaction trigger. Under
@@ -85,6 +88,15 @@ struct MatchPipeline {
   static void commit(gamma::Store& store, const gamma::Match& match,
                      const RecordCtx* rec = nullptr);
 };
+
+/// Process-wide search-work totals, reported per run as deltas by
+/// EngineTelemetry: `gamma.probes` counts candidate bucket positions
+/// examined (scalar probes and batch lanes, every depth), and
+/// `gamma.refuted_skips` counts innermost candidates a refutation watermark
+/// excluded from a scan. probes per fire is the number that exposes an
+/// O(n^2) run.
+[[nodiscard]] std::uint64_t probes_total() noexcept;
+[[nodiscard]] std::uint64_t refuted_skips_total() noexcept;
 
 /// Feeds every reaction's one-time bytecode compile cost into the
 /// "expr.compile_ms" histogram — the shared tail of every Gamma engine's

@@ -6,6 +6,7 @@
 #include "gammaflow/gamma/store.hpp"
 #include "gammaflow/obs/run_recorder.hpp"
 #include "gammaflow/obs/telemetry.hpp"
+#include "gammaflow/runtime/match_pipeline.hpp"
 
 namespace gammaflow::runtime {
 
@@ -26,6 +27,8 @@ EngineTelemetry::EngineTelemetry(const RunOptions& options, const char* domain)
     batch_evals0_ = expr::batch_evals();
     batch_width0_ = expr::batch_width_counts();
     compactions0_ = gamma::column_compactions_total();
+    probes0_ = probes_total();
+    refuted_skips0_ = refuted_skips_total();
   }
 }
 
@@ -53,6 +56,8 @@ void EngineTelemetry::finish(Outcome outcome, MetricsSnapshot& out) const {
   }
   stats.count("store.column_compactions",
               gamma::column_compactions_total() - compactions0_);
+  stats.count("gamma.probes", probes_total() - probes0_);
+  stats.count("gamma.refuted_skips", refuted_skips_total() - refuted_skips0_);
   out = tel_->metrics();
 }
 

@@ -251,6 +251,11 @@ class TraceSink {
 ///   "vm.batch_evals"             — BatchVm chunk evaluations (delta)
 ///   "vm.batch_width"             — histogram of batch chunk widths (delta)
 ///   "store.column_compactions"   — column-group compaction passes (delta)
+///   "gamma.probes"               — candidate positions examined by match
+///                                  searches (delta; over gamma.fires, the
+///                                  probe efficiency)
+///   "gamma.refuted_skips"        — innermost candidates skipped by
+///                                  refutation watermarks (delta)
 /// finish() snapshots the registry into the result's MetricsSnapshot.
 class EngineTelemetry {
  public:
@@ -276,6 +281,8 @@ class EngineTelemetry {
   std::uint64_t batch_evals0_ = 0;
   std::array<std::uint64_t, expr::kBatchWidthBuckets> batch_width0_{};
   std::uint64_t compactions0_ = 0;
+  std::uint64_t probes0_ = 0;
+  std::uint64_t refuted_skips0_ = 0;
 };
 
 /// The RunOptions::record scaffolding every Gamma-family engine shares, the

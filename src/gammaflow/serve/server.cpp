@@ -17,6 +17,7 @@
 
 #include "gammaflow/common/cancel.hpp"
 #include "gammaflow/common/error.hpp"
+#include "gammaflow/common/strings.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/obs/telemetry.hpp"
 
@@ -186,7 +187,7 @@ std::string Server::verb_create(const Json& req) {
               "); close a session or raise --max-sessions");
     }
     if (id.empty()) {
-      id = "s" + std::to_string(next_id_++);
+      id = str_cat("s", next_id_++);
     } else if (sessions_.count(id) > 0) {
       return error_reply("duplicate_session",
                          "session '" + id + "' already exists",

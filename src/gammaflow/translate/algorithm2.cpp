@@ -5,6 +5,7 @@
 
 #include "gammaflow/common/error.hpp"
 #include "gammaflow/common/rng.hpp"
+#include "gammaflow/common/strings.hpp"
 #include "gammaflow/dataflow/engine.hpp"
 #include "gammaflow/gamma/store.hpp"
 #include "gammaflow/runtime/match_pipeline.hpp"
@@ -238,7 +239,7 @@ MappingResult instantiate_mapping(const Reaction& reaction,
                                      elements.begin() +
                                          static_cast<std::ptrdiff_t>((i + 1) * arity));
     add_reaction_instance(b, reaction, &chunk,
-                          "i" + std::to_string(i) + ".");
+                          str_cat("i", i, "."));
   }
   // Leftover elements (|M| mod arity) pass through untouched.
   const std::size_t first_left = instances * arity;
@@ -293,7 +294,7 @@ MappingRun map_until_fixpoint(const Reaction& reaction,
 
     std::vector<Element> next;
     for (std::size_t i = 0; i < mapped.instances; ++i) {
-      const std::string prefix = "i" + std::to_string(i) + ".";
+      const std::string prefix = str_cat("i", i, ".");
       // Did this instance react? The unreacted path emits iff it did not.
       bool reacted = true;
       if (!reaction.branches()[0].is_else && reaction.branches().size() == 1 &&

@@ -3,6 +3,7 @@
 #include <set>
 
 #include "gammaflow/common/error.hpp"
+#include "gammaflow/common/strings.hpp"
 #include "gammaflow/dataflow/engine.hpp"
 
 namespace gammaflow::translate {
@@ -256,7 +257,7 @@ GammaConversion dataflow_to_gamma(const Graph& graph,
 
     std::string name = node.name;
     if (name.empty() || used_names.contains(name)) {
-      name = "R" + std::to_string(id);
+      name = str_cat("R", id);
     }
     used_names.insert(name);
 

@@ -22,6 +22,7 @@
 #include <set>
 
 #include "gammaflow/common/error.hpp"
+#include "gammaflow/common/strings.hpp"
 #include "gammaflow/translate/gamma_to_df.hpp"
 
 namespace gammaflow::translate {
@@ -560,7 +561,7 @@ dataflow::Graph reconstruct_graph(const gamma::Program& program,
     for (const ProducerPort& p : prod_it->second) {
       for (const ConsumerSlot& c : slots) {
         std::string edge_label = label;
-        if (serial > 0) edge_label += "#" + std::to_string(serial);
+        if (serial > 0) edge_label += str_cat("#", serial);
         ++serial;
         b.connect(GraphBuilder::Port{p.node, p.port}, c.node, c.port,
                   edge_label);

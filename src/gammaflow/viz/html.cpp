@@ -595,10 +595,12 @@ void write_html(std::ostream& os, const HtmlInputs& inputs) {
   write_data_json(data, inputs);
   // Escaped solidus defuses any "</script" inside embedded strings while
   // staying valid JSON; structural JSON has no '<' outside strings.
-  std::string json = data.str();
-  for (std::size_t pos = 0; (pos = json.find("</", pos)) != std::string::npos;
-       pos += 3) {
-    json.insert(pos + 1, "\\");
+  const std::string raw = data.str();
+  std::string json;
+  json.reserve(raw.size());
+  for (const char c : raw) {
+    if (c == '/' && !json.empty() && json.back() == '<') json += '\\';
+    json += c;
   }
   os << "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n"
      << "<meta name=\"viewport\" content=\"width=device-width, initial-scale=1\">\n"

@@ -8,6 +8,7 @@
 #include <numeric>
 #include <thread>
 
+#include "gammaflow/common/strings.hpp"
 #include "gammaflow/dataflow/engine.hpp"
 #include "gammaflow/paper/figures.hpp"
 
@@ -142,7 +143,7 @@ TEST_P(DfEngineSuite, MultiLoopGraphsRunIndependently) {
   const auto r = run(paper::multi_loop_graph(4, 5, true));
   for (std::size_t l = 0; l < 4; ++l) {
     // Loop l accumulates y=l+1 five times from x=0.
-    EXPECT_EQ(r.single_output("L" + std::to_string(l) + ".x_final"),
+    EXPECT_EQ(r.single_output(str_cat("L", l, ".x_final")),
               Value(static_cast<std::int64_t>(5 * (l + 1))));
   }
 }

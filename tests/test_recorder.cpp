@@ -10,6 +10,7 @@
 #include <string>
 
 #include "gammaflow/analysis/interference.hpp"
+#include "gammaflow/common/rng.hpp"
 #include "gammaflow/dataflow/engine.hpp"
 #include "gammaflow/distrib/cluster.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
@@ -264,6 +265,37 @@ TEST(DataflowRecorder, ParallelEngineJournalReplays) {
   EXPECT_EQ(obs::verify_journal(j), "");
   EXPECT_EQ(obs::replay_fires(j, j.fires.size()), j.final_store);
   EXPECT_EQ(obs::replay_rounds(j, j.rounds.size()), j.final_store);
+}
+
+TEST(DataflowRecorder, ParallelJournalOrderStress) {
+  // A fire must be journaled before its tokens are published: otherwise a
+  // consumer PE can absorb one and journal its own fire first, and the
+  // journal no longer replays. More PEs than cores make that preemption
+  // window likely; seeded graphs of varying width and depth vary the
+  // interleavings.
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    const dataflow::Graph g =
+        seed % 2 == 0
+            ? paper::fig2_graph(static_cast<std::int64_t>(5 + rng.bounded(20)),
+                                static_cast<std::int64_t>(rng.bounded(7)),
+                                static_cast<std::int64_t>(rng.bounded(50)),
+                                true)
+            : paper::multi_loop_graph(2 + rng.bounded(6),
+                                      static_cast<std::int64_t>(
+                                          3 + rng.bounded(12)));
+    RunRecorder rec;
+    dataflow::DfRunOptions opts;
+    opts.workers = 8;
+    opts.record = &rec;
+    const auto result = dataflow::ParallelEngine().run(g, opts, {});
+    const Journal j = rec.take();
+    ASSERT_EQ(j.fires_total, result.fires) << "seed " << seed;
+    ASSERT_EQ(j.fires_dropped, 0u) << "seed " << seed;
+    ASSERT_EQ(obs::verify_journal(j), "") << "seed " << seed;
+    ASSERT_EQ(obs::replay_fires(j, j.fires.size()), j.final_store)
+        << "seed " << seed;
+  }
 }
 
 // -------------------------------------------------------------- distrib ---
