@@ -1,13 +1,11 @@
-// E12: bytecode compilation ablation. The same condition/action expressions
-// are evaluated by the AST walker (expr::eval) and by the register VM
-// (expr::compile + Vm::run); results are asserted identical, then per-eval
-// latency and an engine-level rungamma workload are compared. The headline
-// number is the geometric-mean VM speedup over condition-heavy expressions,
-// emitted as `bytecode.geomean_speedup_milli` in the "# metrics" line.
-// The batch-backend section (E18) re-runs the same conditions as 4096-lane
-// column batches (compile_batch + BatchVm), bitmap checked lane-for-lane
-// against the scalar VM, reporting per-lane latency and
-// `bytecode.batch_geomean_speedup_milli`.
+// E18: batch lane code vs the AST walker. The same condition expressions
+// are evaluated by the walker (expr::eval, one evaluation per candidate) and
+// as 4096-lane column batches (compile_batch + BatchVm); every bitmap lane
+// is asserted identical to the walker's verdict, then per-lane latency and
+// an engine-level rungamma workload (batch on vs `--no-batch`) are
+// compared. The headline number is the geometric-mean per-lane speedup,
+// emitted as `bytecode.batch_geomean_speedup_milli` in the "# metrics"
+// line.
 #include <array>
 #include <chrono>
 #include <cmath>
@@ -49,90 +47,103 @@ constexpr Workload kWorkloads[] = {
     {"poly_mod", "(x * x + y * y - z * z) % 7 == (x + y + z) % 5"},
 };
 
-/// Rotating operand sets so neither path degenerates into a single hot
-/// branch; the same sequence feeds both evaluators.
-constexpr std::int64_t kOperands[][3] = {
-    {3, 8, 12}, {9, 2, 40}, {7, 7, 14}, {15, 4, 1}, {6, 11, 35}, {2, 3, 5},
-};
-constexpr std::size_t kSets = sizeof(kOperands) / sizeof(kOperands[0]);
-
-constexpr int kEvals = 200'000;
-
-template <typename Body>
-double ns_per_eval(const Body& body) {
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < kEvals; ++i) body(static_cast<std::size_t>(i) % kSets);
-  const auto dt = std::chrono::steady_clock::now() - t0;
-  return std::chrono::duration<double, std::nano>(dt).count() / kEvals;
-}
-
 void verify() {
   bench::header(
-      "E12 — bytecode compilation ablation (register VM vs AST walker)",
-      "claim: compiled conditions/actions evaluate faster, with results "
-      "identical by construction");
+      "E18 — batch lane code vs the AST walker",
+      "claim: conditions evaluated over whole candidate columns cost less "
+      "per lane than one walker evaluation per candidate, with bitmaps "
+      "identical to the walker's verdicts");
 
   static const std::vector<std::string> kSlots = {"x", "y", "z"};
   MetricsSnapshot metrics;
-  bench::Table table(
-      {"workload", "ast_ns", "vm_ns", "speedup", "instrs", "agree"});
 
+  // Each condition over a 4096-lane column — slot x varies per lane, y/z
+  // broadcast, exactly the shape the match pipeline feeds it (innermost
+  // binder = column, outer binders = scalars). The bitmap must agree with
+  // the walker on every lane; the timed loops then compare amortized
+  // per-lane latency against one walker evaluation per lane.
+  bench::Table table(
+      {"workload", "ast_ns", "batch_ns_lane", "speedup", "fused", "agree"});
+  constexpr std::size_t kLanes = 4096;
+  constexpr std::array<std::uint8_t, 3> kVec = {1, 0, 0};
+  std::vector<std::int64_t> col(kLanes);
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    col[i] = static_cast<std::int64_t>(i % 97) - 11;
+  }
+  const std::int64_t yv = 8, zv = 12;
   double log_sum = 0.0;
   std::size_t measured = 0;
   for (const Workload& w : kWorkloads) {
     const expr::ExprPtr e = parse_expr(w.source);
-    const expr::Chunk chunk = expr::compile(e, kSlots);
-
-    // Pre-bind one Env and one slot array per operand set; the loops below
-    // only evaluate, so the comparison isolates walker-vs-VM dispatch.
-    std::vector<expr::Env> envs;
-    std::vector<std::array<Value, 3>> slot_vals(kSets);
-    for (std::size_t s = 0; s < kSets; ++s) {
-      expr::Env env;
-      for (std::size_t v = 0; v < 3; ++v) {
-        env.bind(kSlots[v], Value(kOperands[s][v]));
-        slot_vals[s][v] = Value(kOperands[s][v]);
-      }
-      envs.push_back(std::move(env));
+    const auto bchunk = expr::compile_batch(e, kSlots, kVec);
+    if (!bchunk) {
+      std::cerr << "FATAL: int-only workload " << w.name
+                << " refused by compile_batch\n";
+      std::exit(1);
     }
-
+    std::array<expr::BatchVm::SlotInput, 3> slots{};
+    slots[0].column = col.data();
+    slots[1].scalar = yv;
+    slots[2].scalar = zv;
+    expr::BatchVm bvm;
+    std::vector<std::uint8_t> bits;
+    if (!bvm.run(*bchunk, slots, kLanes, bits)) {
+      std::cerr << "FATAL: batch run aborted on " << w.name << '\n';
+      std::exit(1);
+    }
+    expr::Env env;
+    env.bind("x", Value(std::int64_t{0}));
+    env.bind("y", Value(yv));
+    env.bind("z", Value(zv));
     bool agree = true;
-    expr::Vm check_vm;
-    for (std::size_t s = 0; s < kSets; ++s) {
-      const Value* slots[3] = {&slot_vals[s][0], &slot_vals[s][1],
-                               &slot_vals[s][2]};
-      if (!(expr::eval(e, envs[s]) == check_vm.run(chunk, slots))) {
-        agree = false;
-      }
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      env.bind("x", Value(col[i]));
+      if (expr::eval(e, env).truthy() != (bits[i] != 0)) agree = false;
     }
 
-    const double ast_ns = ns_per_eval([&](std::size_t s) {
-      benchmark::DoNotOptimize(expr::eval(e, envs[s]));
-    });
-    expr::Vm vm;
-    const double vm_ns = ns_per_eval([&](std::size_t s) {
-      const Value* slots[3] = {&slot_vals[s][0], &slot_vals[s][1],
-                               &slot_vals[s][2]};
-      benchmark::DoNotOptimize(vm.run(chunk, slots));
-    });
-    const double speedup = ast_ns / vm_ns;
+    const double ast_ns = [&] {
+      const auto t0 = std::chrono::steady_clock::now();
+      constexpr int kReps = 16;
+      for (int rep = 0; rep < kReps; ++rep) {
+        for (std::size_t i = 0; i < kLanes; ++i) {
+          env.bind("x", Value(col[i]));
+          benchmark::DoNotOptimize(expr::eval(e, env));
+        }
+      }
+      const auto dt = std::chrono::steady_clock::now() - t0;
+      return std::chrono::duration<double, std::nano>(dt).count() / kReps /
+             static_cast<double>(kLanes);
+    }();
+    const double batch_ns = [&] {
+      const auto t0 = std::chrono::steady_clock::now();
+      constexpr int kReps = 64;
+      for (int rep = 0; rep < kReps; ++rep) {
+        benchmark::DoNotOptimize(bvm.run(*bchunk, slots, kLanes, bits));
+      }
+      const auto dt = std::chrono::steady_clock::now() - t0;
+      return std::chrono::duration<double, std::nano>(dt).count() / kReps /
+             static_cast<double>(kLanes);
+    }();
+    const double speedup = ast_ns / batch_ns;
     log_sum += std::log(speedup);
     ++measured;
 
-    std::ostringstream sp;
+    std::ostringstream sp, bn;
     sp.precision(3);
     sp << speedup << 'x';
-    table.row(w.name, static_cast<std::int64_t>(ast_ns),
-              static_cast<std::int64_t>(vm_ns), sp.str(), chunk.code.size(),
-              agree ? "yes" : "NO");
+    bn.precision(3);
+    bn << batch_ns;
+    table.row(w.name, static_cast<std::int64_t>(ast_ns), bn.str(), sp.str(),
+              bchunk->fused_loads, agree ? "yes" : "NO");
     metrics.counters["bytecode.ast_ns." + std::string(w.name)] =
         static_cast<std::uint64_t>(ast_ns);
-    metrics.counters["bytecode.vm_ns." + std::string(w.name)] =
-        static_cast<std::uint64_t>(vm_ns);
-    metrics.counters["bytecode.speedup_milli." + std::string(w.name)] =
+    metrics.counters["bytecode.batch_lane_ps." + std::string(w.name)] =
+        static_cast<std::uint64_t>(batch_ns * 1000.0);
+    metrics.counters["bytecode.batch_speedup_milli." + std::string(w.name)] =
         static_cast<std::uint64_t>(speedup * 1000.0);
     if (!agree) {
-      std::cerr << "FATAL: VM disagrees with walker on " << w.name << '\n';
+      std::cerr << "FATAL: batch bitmap disagrees with the walker on "
+                << w.name << '\n';
       std::exit(1);
     }
   }
@@ -141,125 +152,22 @@ void verify() {
   gm.precision(3);
   gm << geomean << 'x';
   table.row("geomean", "", "", gm.str(), "", "");
-  metrics.counters["bytecode.geomean_speedup_milli"] =
+  metrics.counters["bytecode.batch_geomean_speedup_milli"] =
       static_cast<std::uint64_t>(geomean * 1000.0);
-
-  // Batch backend (E18): the same conditions over a 4096-lane column — slot
-  // x varies per lane, y/z broadcast, exactly the shape the match pipeline
-  // feeds it (innermost binder = column, outer binders = scalars). The
-  // bitmap must agree with the scalar VM on every lane; the timed loop then
-  // compares amortized per-lane latency against scalar per-eval latency.
-  {
-    std::cout << "\nbatch backend: x as a 4096-lane column, y/z broadcast\n";
-    bench::Table btable(
-        {"workload", "vm_ns", "batch_ns_lane", "speedup", "fused", "agree"});
-    constexpr std::size_t kLanes = 4096;
-    constexpr std::array<std::uint8_t, 3> kVec = {1, 0, 0};
-    std::vector<std::int64_t> col(kLanes);
-    for (std::size_t i = 0; i < kLanes; ++i) {
-      col[i] = static_cast<std::int64_t>(i % 97) - 11;
-    }
-    const std::int64_t yv = 8, zv = 12;
-    double blog_sum = 0.0;
-    std::size_t bmeasured = 0;
-    for (const Workload& w : kWorkloads) {
-      const expr::Chunk chunk = expr::compile(parse_expr(w.source), kSlots);
-      const auto bchunk = expr::compile_batch(chunk, kVec);
-      if (!bchunk) {
-        std::cerr << "FATAL: int-only workload " << w.name
-                  << " refused by compile_batch\n";
-        std::exit(1);
-      }
-      std::array<expr::BatchVm::SlotInput, 3> slots{};
-      slots[0].column = col.data();
-      slots[1].scalar = yv;
-      slots[2].scalar = zv;
-      expr::BatchVm bvm;
-      std::vector<std::uint8_t> bits;
-      if (!bvm.run(*bchunk, slots, kLanes, bits)) {
-        std::cerr << "FATAL: batch run aborted on " << w.name << '\n';
-        std::exit(1);
-      }
-      bool agree = true;
-      expr::Vm check_vm;
-      const Value y{yv}, z{zv};
-      for (std::size_t i = 0; i < kLanes; ++i) {
-        const Value x{col[i]};
-        const Value* sv[3] = {&x, &y, &z};
-        if (check_vm.run(chunk, sv).truthy() != (bits[i] != 0)) {
-          agree = false;
-        }
-      }
-
-      expr::Vm vm;
-      const double vm_ns = [&] {
-        const auto t0 = std::chrono::steady_clock::now();
-        constexpr int kReps = 16;
-        for (int rep = 0; rep < kReps; ++rep) {
-          for (std::size_t i = 0; i < kLanes; ++i) {
-            const Value x{col[i]};
-            const Value* sv[3] = {&x, &y, &z};
-            benchmark::DoNotOptimize(vm.run(chunk, sv));
-          }
-        }
-        const auto dt = std::chrono::steady_clock::now() - t0;
-        return std::chrono::duration<double, std::nano>(dt).count() / kReps /
-               static_cast<double>(kLanes);
-      }();
-      const double batch_ns = [&] {
-        const auto t0 = std::chrono::steady_clock::now();
-        constexpr int kReps = 64;
-        for (int rep = 0; rep < kReps; ++rep) {
-          benchmark::DoNotOptimize(bvm.run(*bchunk, slots, kLanes, bits));
-        }
-        const auto dt = std::chrono::steady_clock::now() - t0;
-        return std::chrono::duration<double, std::nano>(dt).count() / kReps /
-               static_cast<double>(kLanes);
-      }();
-      const double speedup = vm_ns / batch_ns;
-      blog_sum += std::log(speedup);
-      ++bmeasured;
-
-      std::ostringstream sp, bn;
-      sp.precision(3);
-      sp << speedup << 'x';
-      bn.precision(3);
-      bn << batch_ns;
-      btable.row(w.name, static_cast<std::int64_t>(vm_ns), bn.str(), sp.str(),
-                 bchunk->fused_loads, agree ? "yes" : "NO");
-      metrics.counters["bytecode.batch_lane_ps." + std::string(w.name)] =
-          static_cast<std::uint64_t>(batch_ns * 1000.0);
-      metrics.counters["bytecode.batch_speedup_milli." + std::string(w.name)] =
-          static_cast<std::uint64_t>(speedup * 1000.0);
-      if (!agree) {
-        std::cerr << "FATAL: batch bitmap disagrees with scalar VM on "
-                  << w.name << '\n';
-        std::exit(1);
-      }
-    }
-    const double bgeomean =
-        std::exp(blog_sum / static_cast<double>(bmeasured));
-    std::ostringstream bgm;
-    bgm.precision(3);
-    bgm << bgeomean << 'x';
-    btable.row("geomean", "", "", bgm.str(), "", "");
-    metrics.counters["bytecode.batch_geomean_speedup_milli"] =
-        static_cast<std::uint64_t>(bgeomean * 1000.0);
-  }
 
   // Engine-level: a condition-heavy single-reaction program (minimum by
   // pairwise elimination — every candidate pair evaluates the condition)
-  // under the indexed engine, compile on vs off, same seed.
+  // under the indexed engine, batch on vs off, same seed.
   const gamma::Program program =
       gamma::dsl::parse_program("Rmin = replace x, y by x where x < y");
   gamma::Multiset initial;
   for (std::int64_t i = 0; i < 200; ++i) {
     initial.add(gamma::Element{Value((i * 2654435761) % 10'000)});
   }
-  const auto timed_run = [&](bool compile, obs::Telemetry* tel) {
+  const auto timed_run = [&](bool batch, obs::Telemetry* tel) {
     gamma::RunOptions ropts;
     ropts.seed = 42;
-    ropts.compile = compile;
+    ropts.batch = batch;
     ropts.telemetry = tel;
     const auto t0 = std::chrono::steady_clock::now();
     auto result = gamma::IndexedEngine().run(program, initial, ropts);
@@ -268,20 +176,21 @@ void verify() {
                      std::chrono::duration<double, std::milli>(dt).count()};
   };
   (void)timed_run(true, nullptr);  // warm-up (allocators, caches)
-  const auto [vm_result, vm_ms] = timed_run(true, nullptr);
+  const auto [batch_result, batch_ms] = timed_run(true, nullptr);
   const auto [ast_result, ast_ms] = timed_run(false, nullptr);
   obs::Telemetry tel;  // separate instrumented run feeds the metrics line
   (void)timed_run(true, &tel);
-  if (!(vm_result.final_multiset == ast_result.final_multiset)) {
-    std::cerr << "FATAL: engine states diverge between compile on/off\n";
+  if (!(batch_result.final_multiset == ast_result.final_multiset) ||
+      batch_result.steps != ast_result.steps) {
+    std::cerr << "FATAL: engine runs diverge between batch on/off\n";
     std::exit(1);
   }
   std::cout << "\nrungamma min(200), indexed engine: ast " << ast_ms
-            << " ms, vm " << vm_ms << " ms, states identical\n";
+            << " ms, batch " << batch_ms << " ms, runs identical\n";
   metrics.counters["bytecode.rungamma_ast_us"] =
       static_cast<std::uint64_t>(ast_ms * 1000.0);
-  metrics.counters["bytecode.rungamma_vm_us"] =
-      static_cast<std::uint64_t>(vm_ms * 1000.0);
+  metrics.counters["bytecode.rungamma_batch_us"] =
+      static_cast<std::uint64_t>(batch_ms * 1000.0);
   metrics.merge(tel.metrics());
   bench::metrics_json(std::cout, "bytecode", metrics);
 }
@@ -296,25 +205,13 @@ void BM_Cond_Ast(benchmark::State& state) {
 }
 BENCHMARK(BM_Cond_Ast)->Unit(benchmark::kNanosecond);
 
-void BM_Cond_Vm(benchmark::State& state) {
-  static const std::vector<std::string> kSlots = {"x", "y", "z"};
-  const expr::Chunk chunk = expr::compile(parse_expr(kWorkloads[1].source),
-                                          kSlots);
-  const Value x{std::int64_t{3}}, y{std::int64_t{8}}, z{std::int64_t{12}};
-  const Value* slots[3] = {&x, &y, &z};
-  expr::Vm vm;
-  for (auto _ : state) benchmark::DoNotOptimize(vm.run(chunk, slots));
-}
-BENCHMARK(BM_Cond_Vm)->Unit(benchmark::kNanosecond);
-
 /// Whole-batch bitmap evaluation: items/s counts LANES, so this is directly
-/// comparable with BM_Cond_Vm's per-eval rate.
+/// comparable with BM_Cond_Ast's per-eval rate.
 void BM_Cond_Batch(benchmark::State& state) {
   static const std::vector<std::string> kSlots = {"x", "y", "z"};
-  const expr::Chunk chunk = expr::compile(parse_expr(kWorkloads[1].source),
-                                          kSlots);
   constexpr std::array<std::uint8_t, 3> kVec = {1, 0, 0};
-  const auto bchunk = expr::compile_batch(chunk, kVec);
+  const auto bchunk = expr::compile_batch(parse_expr(kWorkloads[1].source),
+                                          kSlots, kVec);
   std::vector<std::int64_t> col(static_cast<std::size_t>(state.range(0)));
   for (std::size_t i = 0; i < col.size(); ++i) {
     col[i] = static_cast<std::int64_t>(i % 97) - 11;
@@ -344,7 +241,7 @@ void BM_Rungamma_Min(benchmark::State& state) {
   }
   gamma::RunOptions ropts;
   ropts.seed = 42;
-  ropts.compile = state.range(1) != 0;
+  ropts.batch = state.range(1) != 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         gamma::IndexedEngine().run(program, initial, ropts));
@@ -352,7 +249,7 @@ void BM_Rungamma_Min(benchmark::State& state) {
 }
 BENCHMARK(BM_Rungamma_Min)
     ->ArgsProduct({{64, 256}, {0, 1}})
-    ->ArgNames({"n", "vm"})
+    ->ArgNames({"n", "batch"})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

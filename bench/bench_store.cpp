@@ -12,7 +12,7 @@
 //     known limit of class partitioning (the planner still refuses nothing:
 //     results stay identical, only the speedup fades).
 // Timed benchmarks: MatchPipeline::find on growing stores (hit and miss
-// probes, each swept over the ast/vm/batch evaluators — the E18 dense-match
+// probes, each swept over the ast/batch evaluators — the E18 dense-match
 // ablation), find+commit fixpoints, and the sharded vs global-lock engine
 // run.
 #include <chrono>
@@ -83,22 +83,12 @@ gamma::Multiset labeled_ints(std::size_t n, std::uint64_t seed) {
   return m;
 }
 
-/// Benchmark arg -> evaluator (0 ast, 1 vm, 2 batch); the E18 sweep axis.
+/// Benchmark arg -> evaluator (0 ast walker, 1 batch); the E18 sweep axis.
 expr::EvalMode eval_mode(std::int64_t arg) {
-  switch (arg) {
-    case 0: return expr::EvalMode::Ast;
-    case 1: return expr::EvalMode::Vm;
-    default: return expr::EvalMode::Batch;
-  }
+  return arg == 0 ? expr::EvalMode::Scalar : expr::EvalMode::Batch;
 }
 
-const char* mode_name(std::int64_t arg) {
-  switch (arg) {
-    case 0: return "ast";
-    case 1: return "vm";
-    default: return "batch";
-  }
-}
+const char* mode_name(std::int64_t arg) { return arg == 0 ? "ast" : "batch"; }
 
 void verify() {
   bench::header(
@@ -155,7 +145,7 @@ void verify() {
 
   // E18 — dense-match ablation: the identical EXHAUSTIVE failed search
   // (every [x,'h'] pair probed, the condition false everywhere — one
-  // quiescence proof) under all three evaluators. The read-only find runs
+  // quiescence proof) under both evaluators. The read-only find runs
   // it: the mutating one keeps refutation watermarks, so a repeated miss
   // proof on one store would skip every pair after the first rep. Under
   // EvalMode::Batch the
@@ -163,9 +153,9 @@ void verify() {
   // the probe answers are identical (no match, checked every rep) and the
   // fixpoint row proves the hit path agrees element-for-element too.
   {
-    std::cout << "\nE18 dense-match: exhaustive miss proof, ast vs vm vs "
-                 "batch (same store, same answer)\n";
-    bench::Table table({"n", "ast_us", "vm_us", "batch_us", "batch_vs_vm"});
+    std::cout << "\nE18 dense-match: exhaustive miss proof, ast vs batch "
+                 "(same store, same answer)\n";
+    bench::Table table({"n", "ast_us", "batch_us", "batch_vs_ast"});
     const gamma::Program p = gamma::dsl::parse_program(
         "R = replace [x,'h'], [y,'h'] by [x,'h'] where x < 0");
     const gamma::Reaction& r = p.stages()[0][0];
@@ -175,8 +165,8 @@ void verify() {
       // O(n^2) probes per sweep: keep the repetition budget flat-ish so the
       // verification stage stays CI-sized even on debug builds.
       const int reps = n >= 2048 ? 1 : (n >= 1024 ? 3 : 10);
-      double us[3] = {0.0, 0.0, 0.0};
-      for (std::int64_t mi = 0; mi < 3; ++mi) {
+      double us[2] = {0.0, 0.0};
+      for (std::int64_t mi = 0; mi < 2; ++mi) {
         const expr::EvalMode mode = eval_mode(mi);
         if (reps > 1) {  // warm allocators/caches where a rep is cheap
           (void)runtime::MatchPipeline::find(store, r, nullptr, mode);
@@ -197,13 +187,12 @@ void verify() {
       }
       std::ostringstream sp;
       sp.precision(3);
-      sp << us[1] / us[2] << 'x';
+      sp << us[0] / us[1] << 'x';
       table.row(n, static_cast<std::int64_t>(us[0]),
-                static_cast<std::int64_t>(us[1]),
-                static_cast<std::int64_t>(us[2]), sp.str());
+                static_cast<std::int64_t>(us[1]), sp.str());
       metrics.counters["store.dense" + std::to_string(n) +
                        "_batch_speedup_milli"] =
-          static_cast<std::uint64_t>(us[1] / us[2] * 1000.0);
+          static_cast<std::uint64_t>(us[0] / us[1] * 1000.0);
     }
 
     // Fixpoint parity: one guarded sum-reduction, same seed, batch on vs
@@ -225,8 +214,7 @@ void verify() {
     const bool same =
         batch_run.final_multiset == scalar_run.final_multiset &&
         batch_run.steps == scalar_run.steps;
-    table.row("fixpoint512", "", "", "",
-              same ? "identical" : "DIVERGED");
+    table.row("fixpoint512", "", "", same ? "identical" : "DIVERGED");
     if (!same) {
       std::cout << "FATAL: batch and scalar fixpoints diverge\n";
       std::exit(1);
@@ -255,7 +243,7 @@ void BM_StoreFind_Hit(benchmark::State& state) {
   state.SetLabel(mode_name(state.range(1)));
 }
 BENCHMARK(BM_StoreFind_Hit)
-    ->ArgsProduct({benchmark::CreateRange(16, 4096, 4), {0, 1, 2}})
+    ->ArgsProduct({benchmark::CreateRange(16, 4096, 4), {0, 1}})
     ->ArgNames({"n", "mode"})
     ->Unit(benchmark::kNanosecond);
 
@@ -279,7 +267,7 @@ void BM_StoreFind_MissProof(benchmark::State& state) {
   state.SetLabel(mode_name(state.range(1)));
 }
 BENCHMARK(BM_StoreFind_MissProof)
-    ->ArgsProduct({benchmark::CreateRange(16, 1024, 4), {0, 1, 2}})
+    ->ArgsProduct({benchmark::CreateRange(16, 1024, 4), {0, 1}})
     ->ArgNames({"n", "mode"})
     ->Unit(benchmark::kNanosecond);
 
@@ -305,7 +293,7 @@ void BM_StoreFindCommit_Fixpoint(benchmark::State& state) {
   state.SetLabel(mode_name(state.range(1)));
 }
 BENCHMARK(BM_StoreFindCommit_Fixpoint)
-    ->ArgsProduct({benchmark::CreateRange(16, 1024, 4), {0, 1, 2}})
+    ->ArgsProduct({benchmark::CreateRange(16, 1024, 4), {0, 1}})
     ->ArgNames({"n", "mode"})
     ->Unit(benchmark::kMicrosecond);
 

@@ -113,6 +113,35 @@ std::size_t max_outputs(const Reaction& r) {
   return n;
 }
 
+/// Evaluation steps of one expression: one per AST node plus one per and/or
+/// (its short-circuit test) — the unit c_instr prices.
+std::size_t eval_steps(const Expr& e) {
+  switch (e.kind()) {
+    case Expr::Kind::Literal:
+    case Expr::Kind::Var:
+      return 1;
+    case Expr::Kind::Unary:
+      return 1 + eval_steps(*e.operand());
+    case Expr::Kind::Binary:
+      break;
+  }
+  return (expr::is_logical(e.bin_op()) ? 2 : 1) + eval_steps(*e.lhs()) +
+         eval_steps(*e.rhs());
+}
+
+/// Body size of a reaction: evaluation steps of every guard and output
+/// field, each plus one for handing its result back.
+std::size_t body_steps(const Reaction& r) {
+  std::size_t n = 0;
+  for (const Branch& br : r.branches()) {
+    if (br.condition) n += eval_steps(*br.condition) + 1;
+    for (const auto& tuple : br.outputs) {
+      for (const auto& field : tuple) n += eval_steps(*field) + 1;
+    }
+  }
+  return n;
+}
+
 }  // namespace
 
 const char* to_string(Growth g) noexcept {
@@ -261,7 +290,7 @@ ReactionCost estimate_reaction_cost(const Reaction& reaction,
                                     const BoundednessReport& bounds,
                                     const CostParams& params) {
   ReactionCost cost;
-  cost.instrs = reaction.compiled().instr_count();
+  cost.instrs = body_steps(reaction);
 
   // Live population per pattern: the label bound when one is pinned,
   // assumed_scale for wildcards and unbounded labels.

@@ -12,8 +12,8 @@
 //      divergence lint in `gammaflow check`.
 //
 //   2. Cost — per-reaction work estimated as match cost (arity x live-label
-//      cardinality) + body cost (bytecode chunk length from the compiled
-//      reaction) + store traffic (elements removed + inserted), scaled by a
+//      cardinality) + body cost (evaluation steps of the guards and
+//      outputs) + store traffic (elements removed + inserted), scaled by a
 //      firing-count estimate from the same label bounds. Stage time divides
 //      total work by min(workers, concurrent match opportunities), which is
 //      exactly the paper's trade: fusing a chain shrinks total work (the
@@ -78,9 +78,10 @@ struct BoundednessReport {
 [[nodiscard]] BoundednessReport analyze_boundedness(
     const gamma::Program& program, const gamma::Multiset& initial);
 
-/// Calibrated against bench_reductions (see EXPERIMENTS E16): one bytecode
-/// instruction is the unit, a match probe costs ~c_match units per pattern
-/// per live candidate, a store remove/insert ~c_store units per element.
+/// Calibrated against bench_reductions (see EXPERIMENTS E16): one expression
+/// evaluation step (an AST node, or an and/or's short-circuit test) is the
+/// unit, a match probe costs ~c_match units per pattern per live candidate,
+/// a store remove/insert ~c_store units per element.
 struct CostParams {
   double c_match = 3.0;
   double c_instr = 1.0;
@@ -96,7 +97,7 @@ struct ReactionCost {
   double per_fire = 0;  // match + body + store work for one firing
   double fires = 0;     // firing-count estimate over a whole run
   double work = 0;      // fires * per_fire
-  std::size_t instrs = 0;
+  std::size_t instrs = 0;  // evaluation steps of the guards and outputs
   std::size_t live = 0;  // largest live-label population among the patterns
 };
 

@@ -122,21 +122,27 @@ Value add(const Value& a, const Value& b) {
   if (a.is_str() && b.is_str()) return Value(a.as_str() + b.as_str());
   return numeric_binop(
       "add", a, b,
-      [](std::int64_t x, std::int64_t y) { return Value(x + y); },
+      [](std::int64_t x, std::int64_t y) {
+        return Value(wrapping::add(x, y));
+      },
       [](double x, double y) { return Value(x + y); });
 }
 
 Value sub(const Value& a, const Value& b) {
   return numeric_binop(
       "sub", a, b,
-      [](std::int64_t x, std::int64_t y) { return Value(x - y); },
+      [](std::int64_t x, std::int64_t y) {
+        return Value(wrapping::sub(x, y));
+      },
       [](double x, double y) { return Value(x - y); });
 }
 
 Value mul(const Value& a, const Value& b) {
   return numeric_binop(
       "mul", a, b,
-      [](std::int64_t x, std::int64_t y) { return Value(x * y); },
+      [](std::int64_t x, std::int64_t y) {
+        return Value(wrapping::mul(x, y));
+      },
       [](double x, double y) { return Value(x * y); });
 }
 
@@ -145,7 +151,7 @@ Value div(const Value& a, const Value& b) {
       "div", a, b,
       [](std::int64_t x, std::int64_t y) {
         if (y == 0) throw TypeError("integer division by zero");
-        return Value(x / y);
+        return Value(wrapping::div(x, y));
       },
       [](double x, double y) {
         if (y == 0.0) throw TypeError("real division by zero");
@@ -156,13 +162,13 @@ Value div(const Value& a, const Value& b) {
 Value mod(const Value& a, const Value& b) {
   if (a.is_int() && b.is_int()) {
     if (b.as_int() == 0) throw TypeError("mod by zero");
-    return Value(a.as_int() % b.as_int());
+    return Value(wrapping::mod(a.as_int(), b.as_int()));
   }
   kind_error("mod", a, b);
 }
 
 Value neg(const Value& a) {
-  if (a.is_int()) return Value(-a.as_int());
+  if (a.is_int()) return Value(wrapping::neg(a.as_int()));
   if (a.is_real()) return Value(-a.as_real());
   kind_error("neg", a);
 }

@@ -40,8 +40,8 @@ class Value {
   [[nodiscard]] bool is_numeric() const noexcept { return is_int() || is_real(); }
 
   /// Non-throwing accessors: pointer to the payload, or nullptr on kind
-  /// mismatch. Inline so hot loops (the bytecode Vm) can test-and-read
-  /// without an out-of-line call.
+  /// mismatch. Inline so hot loops (the columnar store and batch matcher)
+  /// can test-and-read without an out-of-line call.
   [[nodiscard]] const std::int64_t* if_int() const noexcept {
     return std::get_if<std::int64_t>(&rep_);
   }
@@ -83,6 +83,33 @@ class Value {
 };
 
 std::ostream& operator<<(std::ostream& os, const Value& v);
+
+/// Int arithmetic wraps around in two's complement (the result the hardware
+/// gives, without the undefined behaviour of signed overflow); the walker
+/// and the batch lanes share these so they agree bit for bit. Division and
+/// modulo by zero are the caller's to reject; INT64_MIN / -1 wraps to
+/// INT64_MIN and INT64_MIN % -1 is 0 instead of trapping.
+namespace wrapping {
+inline std::int64_t add(std::int64_t x, std::int64_t y) noexcept {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) +
+                                   static_cast<std::uint64_t>(y));
+}
+inline std::int64_t sub(std::int64_t x, std::int64_t y) noexcept {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) -
+                                   static_cast<std::uint64_t>(y));
+}
+inline std::int64_t mul(std::int64_t x, std::int64_t y) noexcept {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) *
+                                   static_cast<std::uint64_t>(y));
+}
+inline std::int64_t neg(std::int64_t x) noexcept { return sub(0, x); }
+inline std::int64_t div(std::int64_t x, std::int64_t y) noexcept {
+  return y == -1 ? neg(x) : x / y;
+}
+inline std::int64_t mod(std::int64_t x, std::int64_t y) noexcept {
+  return y == -1 ? 0 : x % y;
+}
+}  // namespace wrapping
 
 /// Checked arithmetic with int->real promotion. Division: int/int is integer
 /// division (C semantics, as the paper's loop example uses integers); any

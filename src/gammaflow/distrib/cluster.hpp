@@ -82,7 +82,7 @@ enum class Placement {
 };
 
 /// Inherited runtime::RunOptions knobs that apply here: `telemetry`,
-/// `compile` (bytecode vs AST local chemistry), `cancel`, `deadline`, and
+/// `batch` (lane-code vs walker local chemistry), `cancel`, `deadline`, and
 /// `limit_policy` (what exceeding max_rounds does). On a cancel/deadline/
 /// budget stop the simulation settles every unacked in-flight transfer
 /// before returning, so the partial multiset is exact — no element lost on

@@ -1,5 +1,7 @@
 #include "gammaflow/expr/ast.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
 
 namespace gammaflow::expr {
@@ -37,6 +39,16 @@ bool is_arithmetic(BinOp op) noexcept {
 bool is_comparison(BinOp op) noexcept { return op >= BinOp::Lt && op <= BinOp::Ne; }
 bool is_logical(BinOp op) noexcept { return op == BinOp::And || op == BinOp::Or; }
 
+namespace {
+
+/// 1 + the deepest child, pinned at the uint32 ceiling.
+std::uint32_t saturated_depth(std::size_t child) {
+  return static_cast<std::uint32_t>(
+      std::min<std::size_t>(child + 1, UINT32_MAX));
+}
+
+}  // namespace
+
 ExprPtr Expr::lit(Value v) {
   auto node = std::shared_ptr<Expr>(new Expr());
   node->kind_ = Kind::Literal;
@@ -55,6 +67,7 @@ ExprPtr Expr::unary(UnOp op, ExprPtr operand) {
   auto node = std::shared_ptr<Expr>(new Expr());
   node->kind_ = Kind::Unary;
   node->un_op_ = op;
+  node->depth_ = saturated_depth(operand->depth());
   node->lhs_ = std::move(operand);
   return node;
 }
@@ -63,6 +76,7 @@ ExprPtr Expr::binary(BinOp op, ExprPtr lhs, ExprPtr rhs) {
   auto node = std::shared_ptr<Expr>(new Expr());
   node->kind_ = Kind::Binary;
   node->bin_op_ = op;
+  node->depth_ = saturated_depth(std::max(lhs->depth(), rhs->depth()));
   node->lhs_ = std::move(lhs);
   node->rhs_ = std::move(rhs);
   return node;

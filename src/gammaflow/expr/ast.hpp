@@ -61,6 +61,10 @@ class Expr {
   /// Number of nodes in the tree (bench sizing, fusion cost model).
   [[nodiscard]] std::size_t size() const noexcept;
 
+  /// Longest root-to-leaf path in nodes (a leaf is 1): the recursion depth
+  /// of every tree walk. O(1) — computed once by the factories.
+  [[nodiscard]] std::size_t depth() const noexcept { return depth_; }
+
   // Factories (the only way to build nodes).
   static ExprPtr lit(Value v);
   static ExprPtr var(std::string name);
@@ -73,6 +77,7 @@ class Expr {
   Kind kind_ = Kind::Literal;
   UnOp un_op_ = UnOp::Neg;
   BinOp bin_op_ = BinOp::Add;
+  std::uint32_t depth_ = 1;
   Value literal_;
   std::string name_;
   ExprPtr lhs_;
@@ -83,7 +88,7 @@ class Expr {
 [[nodiscard]] bool equal(const ExprPtr& a, const ExprPtr& b) noexcept;
 
 /// Convenience builders for tests and generators.
-inline ExprPtr lit(Value v) { return Expr::lit(std::move(v)); }
+inline ExprPtr lit(const Value& v) { return Expr::lit(v); }
 inline ExprPtr var(std::string name) { return Expr::var(std::move(name)); }
 inline ExprPtr operator+(ExprPtr a, ExprPtr b) {
   return Expr::binary(BinOp::Add, std::move(a), std::move(b));

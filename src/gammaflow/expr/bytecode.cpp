@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include "gammaflow/common/error.hpp"
@@ -16,685 +15,222 @@ namespace gammaflow::expr {
 
 namespace {
 
-std::atomic<std::uint64_t> g_vm_instrs{0};
+std::atomic<std::uint64_t> g_batch_evals{0};
+std::atomic<std::uint64_t> g_batch_lanes{0};
+std::array<std::atomic<std::uint64_t>, kBatchWidthBuckets> g_batch_width{};
 
 constexpr std::size_t kOperandLimit =
     std::numeric_limits<std::uint16_t>::max();
 
-OpCode opcode_for(BinOp op) {
-  switch (op) {
-    case BinOp::Add: return OpCode::Add;
-    case BinOp::Sub: return OpCode::Sub;
-    case BinOp::Mul: return OpCode::Mul;
-    case BinOp::Div: return OpCode::Div;
-    case BinOp::Mod: return OpCode::Mod;
-    case BinOp::Lt: return OpCode::Lt;
-    case BinOp::Le: return OpCode::Le;
-    case BinOp::Gt: return OpCode::Gt;
-    case BinOp::Ge: return OpCode::Ge;
-    case BinOp::Eq: return OpCode::Eq;
-    case BinOp::Ne: return OpCode::Ne;
-    case BinOp::And:
-    case BinOp::Or: break;  // lowered to jumps, never a direct opcode
-  }
-  throw ProgramError("bytecode: operator has no direct opcode");
-}
-
-/// Evaluates a variable-free subtree exactly as the walker would, including
-/// short-circuit logic: `lhs and rhs` folds to false when lhs folds falsy
-/// even if rhs references variables or would throw — the walker never
-/// evaluates rhs in that case either. Returns nullopt (no fold) whenever
-/// evaluation would throw, preserving the runtime error for the Vm.
-std::optional<Value> fold(const Expr& e) {
+/// Runs `fn`; false when it throws one of the walker's errors.
+template <typename Fn>
+bool succeeds(Fn&& fn) {
   try {
-    switch (e.kind()) {
-      case Expr::Kind::Literal:
-        return e.literal();
-      case Expr::Kind::Var:
-        return std::nullopt;
-      case Expr::Kind::Unary: {
-        auto a = fold(*e.operand());
-        if (!a) return std::nullopt;
-        return apply(e.un_op(), *a);
-      }
-      case Expr::Kind::Binary: {
-        auto a = fold(*e.lhs());
-        if (!a) return std::nullopt;
-        if (e.bin_op() == BinOp::And) {
-          if (!a->truthy()) return Value(false);
-          auto b = fold(*e.rhs());
-          if (!b) return std::nullopt;
-          return Value(b->truthy());
-        }
-        if (e.bin_op() == BinOp::Or) {
-          if (a->truthy()) return Value(true);
-          auto b = fold(*e.rhs());
-          if (!b) return std::nullopt;
-          return Value(b->truthy());
-        }
-        auto b = fold(*e.rhs());
-        if (!b) return std::nullopt;
-        return apply(e.bin_op(), *a, *b);
-      }
-    }
+    fn();
+    return true;
   } catch (const Error&) {
-    return std::nullopt;
+    return false;
   }
-  return std::nullopt;
 }
 
-class Compiler {
- public:
-  explicit Compiler(std::span<const std::string> slot_names)
-      : slots_(slot_names) {}
-
-  Chunk compile(const ExprPtr& e, const CompileOptions& options) {
-    if (!e) throw ProgramError("bytecode: cannot compile a null expression");
-    const std::uint16_t result = emit(*e, 0);
-    if (options.bool_to_int_result) {
-      push({OpCode::BoolToInt, result, result, 0});
+/// Evaluates a literal-only subtree into `out` exactly as the walker would,
+/// including short-circuit logic: `lhs and rhs` folds to false when lhs
+/// folds falsy even if rhs references variables or would throw — the walker
+/// never evaluates rhs in that case either. Returns false (no fold) when
+/// the evaluated path reads a variable or evaluation throws. Results go
+/// through an out-parameter: returning std::optional<Value> trips GCC 12's
+/// -Wmaybe-uninitialized on the variant's string under the sanitizers.
+bool fold(const Expr& e, Value& out) {
+  switch (e.kind()) {
+    case Expr::Kind::Literal:
+      out = e.literal();
+      return true;
+    case Expr::Kind::Var:
+      return false;
+    case Expr::Kind::Unary: {
+      Value a;
+      return fold(*e.operand(), a) &&
+             succeeds([&] { out = apply(e.un_op(), a); });
     }
-    push({OpCode::Ret, 0, result, 0});
-    chunk_.slot_names.assign(slots_.begin(), slots_.end());
-    return std::move(chunk_);
+    case Expr::Kind::Binary:
+      break;
+  }
+  Value a;
+  if (!fold(*e.lhs(), a)) return false;
+  const BinOp op = e.bin_op();
+  Value b;
+  if (op == BinOp::And || op == BinOp::Or) {
+    bool lhs = false;
+    if (!succeeds([&] { lhs = a.truthy(); })) return false;
+    if (lhs == (op == BinOp::Or)) {
+      out = Value(lhs);
+      return true;
+    }
+    return fold(*e.rhs(), b) && succeeds([&] { out = Value(b.truthy()); });
+  }
+  return fold(*e.rhs(), b) && succeeds([&] { out = apply(op, a, b); });
+}
+
+/// Lowers a condition AST to lane code in one recursive pass. Every
+/// subexpression has a static lane kind (Int or Bool lanes); leaves — binder
+/// slots and Int/Bool literals, including folded literal-only subtrees —
+/// are never materialized: they come back as operands the consuming
+/// instruction fuses. Register discipline: a node computes into `dst` and
+/// its right operand into dst+1, so live registers form a stack and the
+/// high-water mark is the tree's right-spine depth. Anything outside the
+/// Int/Bool lane model refuses the whole condition.
+class LaneCompiler {
+ public:
+  LaneCompiler(std::span<const std::string> slot_names,
+               std::span<const std::uint8_t> slot_is_vector)
+      : slot_names_(slot_names), slot_vec_(slot_is_vector) {}
+
+  std::optional<BatchChunk> compile(const Expr& e) {
+    out_.slot_used.assign(slot_vec_.size(), 0);
+    const std::optional<Lowered> result = lower(e, 0);
+    if (!result) return std::nullopt;
+    emit(BatchOp::Ret, 0, result->operand, BatchOperand{}, Kind::Bool);
+    return std::move(out_);
   }
 
  private:
-  /// Emits code leaving the result in register `dst`; returns `dst`.
-  /// Register discipline: a binary node evaluates lhs into dst and rhs into
-  /// dst+1, so live registers form a stack and the high-water mark equals
-  /// the tree's right-spine depth.
-  std::uint16_t emit(const Expr& e, std::uint16_t dst) {
-    reserve(dst);
-    if (e.kind() != Expr::Kind::Literal) {
-      if (auto v = fold(e)) {
-        push({OpCode::LoadConst, dst, intern(*std::move(v)), 0});
-        return dst;
-      }
-    }
+  enum class Kind : std::uint8_t { Int, Bool };
+  struct Lowered {
+    Kind kind;
+    BatchOperand operand;
+  };
+
+  std::optional<Lowered> lower(const Expr& e, std::size_t dst) {
+    if (dst >= kOperandLimit) return std::nullopt;
     switch (e.kind()) {
       case Expr::Kind::Literal:
-        push({OpCode::LoadConst, dst, intern(e.literal()), 0});
-        return dst;
+        return immediate(e.literal());
       case Expr::Kind::Var:
-        push({OpCode::LoadSlot, dst, slot_of(e.var()), 0});
-        return dst;
-      case Expr::Kind::Unary: {
-        emit(*e.operand(), dst);
-        push({e.un_op() == UnOp::Neg ? OpCode::Neg : OpCode::Not, dst, dst, 0});
-        return dst;
-      }
-      case Expr::Kind::Binary: {
-        if (e.bin_op() == BinOp::And || e.bin_op() == BinOp::Or) {
-          // `a and b` == truthy(a) ? Bool(truthy(b)) : Bool(false); the jump
-          // writes the short-circuit constant into dst itself, so no merge
-          // move is needed.
-          const OpCode jump = e.bin_op() == BinOp::And ? OpCode::JumpIfFalsy
-                                                       : OpCode::JumpIfTruthy;
-          emit(*e.lhs(), dst);
-          const std::size_t patch = chunk_.code.size();
-          push({jump, dst, dst, 0});
-          emit(*e.rhs(), dst);
-          push({OpCode::Truthy, dst, dst, 0});
-          chunk_.code[patch].b = checked_u16(chunk_.code.size(),
-                                             "bytecode: jump target");
-          return dst;
-        }
-        emit(*e.lhs(), dst);
-        const std::uint16_t rhs =
-            checked_u16(std::size_t{dst} + 1, "bytecode: expression too deep");
-        emit(*e.rhs(), rhs);
-        push({opcode_for(e.bin_op()), dst, dst, rhs});
-        return dst;
-      }
+        return slot(e.var());
+      case Expr::Kind::Unary:
+      case Expr::Kind::Binary:
+        break;
     }
-    throw ProgramError("bytecode: unknown expression kind");
-  }
-
-  std::uint16_t slot_of(const std::string& name) const {
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (slots_[i] == name) {
-        return checked_u16(i, "bytecode: slot index");
+    // A literal-only subtree (or a short-circuit whose evaluated path is
+    // literal-only) becomes one immediate; a throwing one (1/0) is lowered
+    // node by node, where the refusal rules below reject it, so only the
+    // walker raises its error.
+    if (Value v; fold(e, v)) return immediate(v);
+    const auto reg = static_cast<std::uint16_t>(dst);
+    if (e.kind() == Expr::Kind::Unary) {
+      const auto a = lower(*e.operand(), dst);
+      if (!a) return std::nullopt;
+      if (e.un_op() == UnOp::Neg) {
+        if (a->kind != Kind::Int) return std::nullopt;
+        return emit(BatchOp::Neg, reg, a->operand, BatchOperand{}, Kind::Int);
       }
+      return emit(BatchOp::Not, reg, a->operand, BatchOperand{}, Kind::Bool);
     }
-    throw ProgramError("unbound variable '" + name + "' (not a binder slot)");
-  }
-
-  std::uint16_t intern(Value v) {
-    for (std::size_t i = 0; i < chunk_.consts.size(); ++i) {
-      if (chunk_.consts[i] == v) {
-        return checked_u16(i, "bytecode: constant index");
-      }
+    const auto lhs = lower(*e.lhs(), dst);
+    if (!lhs) return std::nullopt;
+    if (e.bin_op() == BinOp::And || e.bin_op() == BinOp::Or) {
+      // `a and b` == truthy(a) ? Bool(truthy(b)) : Bool(false): both sides
+      // evaluate eagerly (no lane op throws) and join bitwise.
+      const Lowered l =
+          emit(BatchOp::Truthy, reg, lhs->operand, BatchOperand{}, Kind::Bool);
+      const auto rhs = lower(*e.rhs(), dst + 1);
+      if (!rhs) return std::nullopt;
+      const auto next = static_cast<std::uint16_t>(dst + 1);
+      const Lowered r = emit(BatchOp::Truthy, next, rhs->operand,
+                             BatchOperand{}, Kind::Bool);
+      return emit(e.bin_op() == BinOp::And ? BatchOp::AndBool : BatchOp::OrBool,
+                  reg, l.operand, r.operand, Kind::Bool);
     }
-    chunk_.consts.push_back(std::move(v));
-    return checked_u16(chunk_.consts.size() - 1, "bytecode: constant pool");
-  }
-
-  void reserve(std::uint16_t reg) {
-    if (std::size_t{reg} + 1 > chunk_.register_count) {
-      chunk_.register_count = static_cast<std::uint16_t>(reg + 1);
+    const auto rhs = lower(*e.rhs(), dst + 1);
+    if (!rhs || lhs->kind != Kind::Int || rhs->kind != Kind::Int) {
+      return std::nullopt;
     }
+    const BinOp op = e.bin_op();
+    // A literal zero divisor is a guaranteed TypeError on the evaluated
+    // path — only the walker raises it with the right text.
+    if ((op == BinOp::Div || op == BinOp::Mod) &&
+        rhs->operand.kind == BatchOperand::Kind::Imm && rhs->operand.imm == 0) {
+      return std::nullopt;
+    }
+    return emit(lane_op(op), reg, lhs->operand, rhs->operand,
+                is_comparison(op) ? Kind::Bool : Kind::Int);
   }
 
-  void push(Instr in) { chunk_.code.push_back(in); }
-
-  static std::uint16_t checked_u16(std::size_t v, const char* what) {
-    if (v > kOperandLimit) throw ProgramError(std::string(what) + " overflow");
-    return static_cast<std::uint16_t>(v);
+  std::optional<Lowered> immediate(const Value& v) {
+    if (const std::int64_t* i = v.if_int()) {
+      return leaf(Kind::Int,
+                  BatchOperand{BatchOperand::Kind::Imm, false, 0, *i});
+    }
+    if (const bool* b = v.if_bool()) {
+      return leaf(Kind::Bool, BatchOperand{BatchOperand::Kind::Imm, false, 0,
+                                           *b ? std::int64_t{1} : 0});
+    }
+    return std::nullopt;  // Real/Str/Nil constants: lanes are int64 only
   }
 
-  std::span<const std::string> slots_;
-  Chunk chunk_;
+  std::optional<Lowered> slot(const std::string& name) {
+    const auto it = std::find(slot_names_.begin(), slot_names_.end(), name);
+    const auto s = static_cast<std::size_t>(it - slot_names_.begin());
+    if (s >= slot_vec_.size() || s >= kOperandLimit) return std::nullopt;
+    out_.slot_used[s] = 1;
+    return leaf(Kind::Int,
+                BatchOperand{BatchOperand::Kind::Slot, slot_vec_[s] != 0,
+                             static_cast<std::uint16_t>(s), 0});
+  }
+
+  Lowered leaf(Kind kind, BatchOperand operand) {
+    ++out_.fused_loads;  // every leaf is consumed by exactly one instruction
+    return Lowered{kind, operand};
+  }
+
+  Lowered emit(BatchOp op, std::uint16_t dst, BatchOperand a, BatchOperand b,
+               Kind kind) {
+    const bool vec = a.vec || b.vec;
+    out_.code.push_back(BatchInstr{op, dst, vec, a, b});
+    out_.register_count = std::max<std::uint16_t>(
+        out_.register_count, static_cast<std::uint16_t>(dst + 1));
+    return Lowered{kind, BatchOperand{BatchOperand::Kind::Reg, vec, dst, 0}};
+  }
+
+  static BatchOp lane_op(BinOp op) {
+    switch (op) {
+      case BinOp::Add: return BatchOp::Add;
+      case BinOp::Sub: return BatchOp::Sub;
+      case BinOp::Mul: return BatchOp::Mul;
+      case BinOp::Div: return BatchOp::Div;
+      case BinOp::Mod: return BatchOp::Mod;
+      case BinOp::Lt: return BatchOp::Lt;
+      case BinOp::Le: return BatchOp::Le;
+      case BinOp::Gt: return BatchOp::Gt;
+      case BinOp::Ge: return BatchOp::Ge;
+      case BinOp::Eq: return BatchOp::Eq;
+      case BinOp::Ne: return BatchOp::Ne;
+      case BinOp::And:
+      case BinOp::Or: break;  // joined in lower(), never a lane opcode
+    }
+    throw ProgramError("compile_batch: operator has no lane opcode");
+  }
+
+  std::span<const std::string> slot_names_;
+  std::span<const std::uint8_t> slot_vec_;
+  BatchChunk out_;
 };
-
-/// Inline truthiness for the jump/normalization opcodes; falls back to
-/// Value::truthy() (out-of-line) only to raise its exact TypeError.
-inline bool fast_truthy(const Value& v) {
-  if (const bool* b = v.if_bool()) return *b;
-  if (const std::int64_t* i = v.if_int()) return *i != 0;
-  return v.truthy();  // throws; never returns
-}
 
 }  // namespace
 
 const char* to_string(EvalMode mode) noexcept {
   switch (mode) {
-    case EvalMode::Ast: return "ast";
-    case EvalMode::Vm: return "vm";
+    case EvalMode::Scalar: return "scalar";
     case EvalMode::Batch: return "batch";
   }
   return "?";
 }
 
-const char* to_string(OpCode op) noexcept {
-  switch (op) {
-    case OpCode::LoadConst: return "loadconst";
-    case OpCode::LoadSlot: return "loadslot";
-    case OpCode::Add: return "add";
-    case OpCode::Sub: return "sub";
-    case OpCode::Mul: return "mul";
-    case OpCode::Div: return "div";
-    case OpCode::Mod: return "mod";
-    case OpCode::Lt: return "lt";
-    case OpCode::Le: return "le";
-    case OpCode::Gt: return "gt";
-    case OpCode::Ge: return "ge";
-    case OpCode::Eq: return "eq";
-    case OpCode::Ne: return "ne";
-    case OpCode::Neg: return "neg";
-    case OpCode::Not: return "not";
-    case OpCode::Truthy: return "truthy";
-    case OpCode::BoolToInt: return "booltoint";
-    case OpCode::JumpIfFalsy: return "jumpiffalsy";
-    case OpCode::JumpIfTruthy: return "jumpiftruthy";
-    case OpCode::Ret: return "ret";
-  }
-  return "?";
-}
-
-std::string Chunk::disassemble() const {
-  std::ostringstream os;
-  for (std::size_t pc = 0; pc < code.size(); ++pc) {
-    const Instr& in = code[pc];
-    os << pc << ": " << to_string(in.op);
-    switch (in.op) {
-      case OpCode::LoadConst:
-        os << " r" << in.dst << ", " << consts[in.a];
-        break;
-      case OpCode::LoadSlot:
-        os << " r" << in.dst << ", s" << in.a;
-        if (in.a < slot_names.size()) os << " (" << slot_names[in.a] << ")";
-        break;
-      case OpCode::Neg:
-      case OpCode::Not:
-      case OpCode::Truthy:
-      case OpCode::BoolToInt:
-        os << " r" << in.dst << ", r" << in.a;
-        break;
-      case OpCode::JumpIfFalsy:
-      case OpCode::JumpIfTruthy:
-        os << " r" << in.a << ", ->" << in.b << " (r" << in.dst << ")";
-        break;
-      case OpCode::Ret:
-        os << " r" << in.a;
-        break;
-      default:
-        os << " r" << in.dst << ", r" << in.a << ", r" << in.b;
-        break;
-    }
-    os << '\n';
-  }
-  return os.str();
-}
-
-Chunk compile(const ExprPtr& e, std::span<const std::string> slot_names,
-              const CompileOptions& options) {
-  return Compiler(slot_names).compile(e, options);
-}
-
-Value Vm::run(const Chunk& chunk, std::span<const Value* const> slots) {
-  if (regs_.size() < chunk.register_count) regs_.resize(chunk.register_count);
-  const Instr* code = chunk.code.data();
-  std::size_t pc = 0;
-  std::uint64_t retired = 0;
-  // Flush the instruction count even when a value op throws (TypeError on
-  // mixed kinds), so metrics stay honest on failing conditions.
-  struct Flush {
-    Vm* vm;
-    const std::uint64_t* n;
-    ~Flush() {
-      vm->instrs_ += *n;
-      g_vm_instrs.fetch_add(*n, std::memory_order_relaxed);
-    }
-  } flush{this, &retired};
-  for (;;) {
-    const Instr& in = code[pc];
-    ++retired;
-    switch (in.op) {
-      case OpCode::LoadConst:
-        regs_[in.dst] = chunk.consts[in.a];
-        ++pc;
-        break;
-      case OpCode::LoadSlot: {
-        const Value* slot = slots[in.a];
-        if (slot == nullptr) {
-          // Matches Env::lookup: the walker only throws when the variable is
-          // actually referenced on the evaluated path, and so do we.
-          throw ProgramError("unbound variable '" + chunk.slot_names[in.a] +
-                             "'");
-        }
-        regs_[in.dst] = *slot;
-        ++pc;
-        break;
-      }
-      // Binary value ops: an inline Int×Int fast path (the dominant case in
-      // reaction conditions) with a fall-through to the checked helpers in
-      // value.cpp for every other kind combination — promotion, string
-      // concat, and the exact TypeError texts all come from the same single
-      // source of truth as the walker. Comparisons intentionally go through
-      // double like value.cpp's compare() so results are bit-identical.
-      case OpCode::Add: {
-        const Value& x = regs_[in.a];
-        const Value& y = regs_[in.b];
-        const std::int64_t* xi = x.if_int();
-        const std::int64_t* yi = y.if_int();
-        regs_[in.dst] = (xi && yi) ? Value(*xi + *yi) : add(x, y);
-        ++pc;
-        break;
-      }
-      case OpCode::Sub: {
-        const Value& x = regs_[in.a];
-        const Value& y = regs_[in.b];
-        const std::int64_t* xi = x.if_int();
-        const std::int64_t* yi = y.if_int();
-        regs_[in.dst] = (xi && yi) ? Value(*xi - *yi) : sub(x, y);
-        ++pc;
-        break;
-      }
-      case OpCode::Mul: {
-        const Value& x = regs_[in.a];
-        const Value& y = regs_[in.b];
-        const std::int64_t* xi = x.if_int();
-        const std::int64_t* yi = y.if_int();
-        regs_[in.dst] = (xi && yi) ? Value(*xi * *yi) : mul(x, y);
-        ++pc;
-        break;
-      }
-      case OpCode::Div: {
-        const Value& x = regs_[in.a];
-        const Value& y = regs_[in.b];
-        const std::int64_t* xi = x.if_int();
-        const std::int64_t* yi = y.if_int();
-        regs_[in.dst] =
-            (xi && yi && *yi != 0) ? Value(*xi / *yi) : div(x, y);
-        ++pc;
-        break;
-      }
-      case OpCode::Mod: {
-        const Value& x = regs_[in.a];
-        const Value& y = regs_[in.b];
-        const std::int64_t* xi = x.if_int();
-        const std::int64_t* yi = y.if_int();
-        regs_[in.dst] =
-            (xi && yi && *yi != 0) ? Value(*xi % *yi) : mod(x, y);
-        ++pc;
-        break;
-      }
-      case OpCode::Lt: {
-        const Value& x = regs_[in.a];
-        const Value& y = regs_[in.b];
-        const std::int64_t* xi = x.if_int();
-        const std::int64_t* yi = y.if_int();
-        regs_[in.dst] =
-            (xi && yi)
-                ? Value(static_cast<double>(*xi) < static_cast<double>(*yi))
-                : cmp_lt(x, y);
-        ++pc;
-        break;
-      }
-      case OpCode::Le: {
-        const Value& x = regs_[in.a];
-        const Value& y = regs_[in.b];
-        const std::int64_t* xi = x.if_int();
-        const std::int64_t* yi = y.if_int();
-        regs_[in.dst] =
-            (xi && yi)
-                ? Value(static_cast<double>(*xi) <= static_cast<double>(*yi))
-                : cmp_le(x, y);
-        ++pc;
-        break;
-      }
-      case OpCode::Gt: {
-        const Value& x = regs_[in.a];
-        const Value& y = regs_[in.b];
-        const std::int64_t* xi = x.if_int();
-        const std::int64_t* yi = y.if_int();
-        regs_[in.dst] =
-            (xi && yi)
-                ? Value(static_cast<double>(*xi) > static_cast<double>(*yi))
-                : cmp_gt(x, y);
-        ++pc;
-        break;
-      }
-      case OpCode::Ge: {
-        const Value& x = regs_[in.a];
-        const Value& y = regs_[in.b];
-        const std::int64_t* xi = x.if_int();
-        const std::int64_t* yi = y.if_int();
-        regs_[in.dst] =
-            (xi && yi)
-                ? Value(static_cast<double>(*xi) >= static_cast<double>(*yi))
-                : cmp_ge(x, y);
-        ++pc;
-        break;
-      }
-      case OpCode::Eq: {
-        const Value& x = regs_[in.a];
-        const Value& y = regs_[in.b];
-        const std::int64_t* xi = x.if_int();
-        const std::int64_t* yi = y.if_int();
-        regs_[in.dst] =
-            (xi && yi)
-                ? Value(static_cast<double>(*xi) == static_cast<double>(*yi))
-                : cmp_eq(x, y);
-        ++pc;
-        break;
-      }
-      case OpCode::Ne: {
-        const Value& x = regs_[in.a];
-        const Value& y = regs_[in.b];
-        const std::int64_t* xi = x.if_int();
-        const std::int64_t* yi = y.if_int();
-        regs_[in.dst] =
-            (xi && yi)
-                ? Value(static_cast<double>(*xi) != static_cast<double>(*yi))
-                : cmp_ne(x, y);
-        ++pc;
-        break;
-      }
-      case OpCode::Neg: {
-        const Value& x = regs_[in.a];
-        const std::int64_t* xi = x.if_int();
-        regs_[in.dst] = xi ? Value(-*xi) : neg(x);
-        ++pc;
-        break;
-      }
-      case OpCode::Not:
-        regs_[in.dst] = Value(!fast_truthy(regs_[in.a]));
-        ++pc;
-        break;
-      case OpCode::Truthy:
-        regs_[in.dst] = Value(fast_truthy(regs_[in.a]));
-        ++pc;
-        break;
-      case OpCode::BoolToInt:
-        regs_[in.dst] = Value(fast_truthy(regs_[in.a]) ? 1 : 0);
-        ++pc;
-        break;
-      case OpCode::JumpIfFalsy:
-        if (!fast_truthy(regs_[in.a])) {
-          regs_[in.dst] = Value(false);
-          pc = in.b;
-        } else {
-          ++pc;
-        }
-        break;
-      case OpCode::JumpIfTruthy:
-        if (fast_truthy(regs_[in.a])) {
-          regs_[in.dst] = Value(true);
-          pc = in.b;
-        } else {
-          ++pc;
-        }
-        break;
-      case OpCode::Ret:
-        return std::move(regs_[in.a]);
-    }
-  }
-}
-
-std::uint64_t vm_instrs_executed() noexcept {
-  return g_vm_instrs.load(std::memory_order_relaxed);
-}
-
-// ---- Batch backend --------------------------------------------------------
-
-namespace {
-
-std::atomic<std::uint64_t> g_batch_evals{0};
-std::atomic<std::uint64_t> g_batch_lanes{0};
-std::array<std::atomic<std::uint64_t>, kBatchWidthBuckets> g_batch_width{};
-
-/// One-pass translator from scalar chunks to batch lane code. Walks the
-/// scalar instruction stream keeping, per register, what it currently holds:
-/// a PENDING load (a slot/constant not yet materialized — the fusion source:
-/// the consuming instruction takes it as an operand instead), or a computed
-/// value with a static kind (Int or Bool lanes). The and/or jumps become
-/// eager joins: at the jump we snapshot truthy(lhs) into a fresh temp
-/// register and push a fixup; when translation reaches the jump target the
-/// rhs value is sitting in the same register, and we emit AndBool/OrBool
-/// over temp and register — exactly the Bool the scalar Vm leaves there on
-/// either path. Anything outside the Int/Bool lane model refuses.
-class BatchCompiler {
- public:
-  BatchCompiler(const Chunk& chunk, std::span<const std::uint8_t> slot_is_vector)
-      : chunk_(chunk), slot_vec_(slot_is_vector) {}
-
-  std::optional<BatchChunk> translate() {
-    regs_.assign(chunk_.register_count, RegState{});
-    next_reg_ = chunk_.register_count;
-    out_.slot_used.assign(slot_vec_.size(), 0);
-    for (std::size_t pc = 0; pc < chunk_.code.size() && !done_; ++pc) {
-      while (!joins_.empty() && joins_.back().target == pc) {
-        const Join j = joins_.back();
-        joins_.pop_back();
-        const BatchOperand lhs = reg_operand(j.temp);
-        const BatchOperand rhs = operand(j.reg);
-        emit(j.is_and ? BatchOp::AndBool : BatchOp::OrBool, j.reg, lhs, rhs);
-        set(j.reg, RegState::Kind::Bool, lhs.vec || rhs.vec);
-      }
-      if (!step(chunk_.code[pc])) return std::nullopt;
-    }
-    if (!done_ || !joins_.empty()) return std::nullopt;  // malformed chunk
-    out_.register_count = next_reg_;
-    return std::move(out_);
-  }
-
- private:
-  struct RegState {
-    enum class Kind : std::uint8_t { None, Int, Bool };
-    Kind kind = Kind::None;
-    bool vec = false;
-    bool pending = false;  // value is exactly `load`; nothing emitted yet
-    BatchOperand load{};
-  };
-  struct Join {
-    std::size_t target;
-    std::uint16_t reg;
-    std::uint16_t temp;
-    bool is_and;
-  };
-  using Kind = RegState::Kind;
-
-  bool step(const Instr& in) {
-    switch (in.op) {
-      case OpCode::LoadConst: {
-        const Value& v = chunk_.consts[in.a];
-        if (const std::int64_t* i = v.if_int()) {
-          set_pending(in.dst, Kind::Int,
-                      BatchOperand{BatchOperand::Kind::Imm, false, 0, *i});
-          return true;
-        }
-        if (const bool* b = v.if_bool()) {
-          set_pending(in.dst, Kind::Bool,
-                      BatchOperand{BatchOperand::Kind::Imm, false, 0,
-                                   *b ? std::int64_t{1} : std::int64_t{0}});
-          return true;
-        }
-        return false;  // Real/Str/Nil constants: lanes are int64 only
-      }
-      case OpCode::LoadSlot: {
-        if (in.a >= slot_vec_.size()) return false;
-        out_.slot_used[in.a] = 1;
-        set_pending(in.dst, Kind::Int,
-                    BatchOperand{BatchOperand::Kind::Slot,
-                                 slot_vec_[in.a] != 0, in.a, 0});
-        return true;
-      }
-      case OpCode::Add:
-      case OpCode::Sub:
-      case OpCode::Mul: {
-        if (kind(in.a) != Kind::Int || kind(in.b) != Kind::Int) return false;
-        return binary(arith_op(in.op), in, Kind::Int);
-      }
-      case OpCode::Div:
-      case OpCode::Mod: {
-        if (kind(in.a) != Kind::Int || kind(in.b) != Kind::Int) return false;
-        const BatchOperand b = operand(in.b);
-        // A literal zero divisor is a guaranteed TypeError on the evaluated
-        // path — only the scalar evaluators raise it with the right text.
-        if (b.kind == BatchOperand::Kind::Imm && b.imm == 0) return false;
-        const BatchOperand a = operand(in.a);
-        emit(in.op == OpCode::Div ? BatchOp::Div : BatchOp::Mod, in.dst, a, b);
-        set(in.dst, Kind::Int, a.vec || b.vec);
-        return true;
-      }
-      case OpCode::Lt:
-      case OpCode::Le:
-      case OpCode::Gt:
-      case OpCode::Ge:
-      case OpCode::Eq:
-      case OpCode::Ne: {
-        if (kind(in.a) != Kind::Int || kind(in.b) != Kind::Int) return false;
-        return binary(cmp_op(in.op), in, Kind::Bool);
-      }
-      case OpCode::Neg: {
-        if (kind(in.a) != Kind::Int) return false;
-        const BatchOperand a = operand(in.a);
-        emit(BatchOp::Neg, in.dst, a, BatchOperand{});
-        set(in.dst, Kind::Int, a.vec);
-        return true;
-      }
-      case OpCode::Not:
-      case OpCode::Truthy:
-      case OpCode::BoolToInt: {
-        if (kind(in.a) == Kind::None) return false;
-        const BatchOperand a = operand(in.a);
-        emit(in.op == OpCode::Not ? BatchOp::Not : BatchOp::Truthy, in.dst, a,
-             BatchOperand{});
-        set(in.dst, in.op == OpCode::BoolToInt ? Kind::Int : Kind::Bool,
-            a.vec);
-        return true;
-      }
-      case OpCode::JumpIfFalsy:
-      case OpCode::JumpIfTruthy: {
-        if (in.dst != in.a) return false;  // compiler invariant; be safe
-        if (kind(in.a) == Kind::None) return false;
-        if (next_reg_ == kOperandLimit) return false;
-        const std::uint16_t temp = next_reg_++;
-        regs_.push_back(RegState{});
-        const BatchOperand a = operand(in.a);
-        emit(BatchOp::Truthy, temp, a, BatchOperand{});
-        set(temp, Kind::Bool, a.vec);
-        joins_.push_back(
-            Join{in.b, in.a, temp, in.op == OpCode::JumpIfFalsy});
-        return true;
-      }
-      case OpCode::Ret: {
-        if (kind(in.a) == Kind::None) return false;
-        emit(BatchOp::Ret, 0, operand(in.a), BatchOperand{});
-        done_ = true;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  bool binary(BatchOp op, const Instr& in, Kind result) {
-    const BatchOperand a = operand(in.a);
-    const BatchOperand b = operand(in.b);
-    emit(op, in.dst, a, b);
-    set(in.dst, result, a.vec || b.vec);
-    return true;
-  }
-
-  static BatchOp arith_op(OpCode op) {
-    switch (op) {
-      case OpCode::Add: return BatchOp::Add;
-      case OpCode::Sub: return BatchOp::Sub;
-      default: return BatchOp::Mul;
-    }
-  }
-  static BatchOp cmp_op(OpCode op) {
-    switch (op) {
-      case OpCode::Lt: return BatchOp::Lt;
-      case OpCode::Le: return BatchOp::Le;
-      case OpCode::Gt: return BatchOp::Gt;
-      case OpCode::Ge: return BatchOp::Ge;
-      case OpCode::Eq: return BatchOp::Eq;
-      default: return BatchOp::Ne;
-    }
-  }
-
-  [[nodiscard]] Kind kind(std::uint16_t r) const {
-    return r < regs_.size() ? regs_[r].kind : Kind::None;
-  }
-  /// The register's value as an operand; a pending load fuses here.
-  BatchOperand operand(std::uint16_t r) {
-    const RegState& s = regs_[r];
-    if (s.pending) {
-      ++out_.fused_loads;
-      return s.load;
-    }
-    return BatchOperand{BatchOperand::Kind::Reg, s.vec, r, 0};
-  }
-  BatchOperand reg_operand(std::uint16_t r) const {
-    return BatchOperand{BatchOperand::Kind::Reg, regs_[r].vec, r, 0};
-  }
-  void set(std::uint16_t r, Kind k, bool vec) {
-    regs_[r] = RegState{k, vec, false, {}};
-  }
-  void set_pending(std::uint16_t r, Kind k, BatchOperand load) {
-    regs_[r] = RegState{k, load.vec, true, load};
-  }
-  void emit(BatchOp op, std::uint16_t dst, BatchOperand a, BatchOperand b) {
-    out_.code.push_back(BatchInstr{op, dst, a.vec || b.vec, a, b});
-  }
-
-  const Chunk& chunk_;
-  std::span<const std::uint8_t> slot_vec_;
-  BatchChunk out_;
-  std::vector<RegState> regs_;
-  std::vector<Join> joins_;
-  std::uint16_t next_reg_ = 0;
-  bool done_ = false;
-};
-
-}  // namespace
-
 std::optional<BatchChunk> compile_batch(
-    const Chunk& chunk, std::span<const std::uint8_t> slot_is_vector) {
-  return BatchCompiler(chunk, slot_is_vector).translate();
+    const ExprPtr& e, std::span<const std::string> slot_names,
+    std::span<const std::uint8_t> slot_is_vector) {
+  if (!e) throw ProgramError("compile_batch: null expression");
+  return LaneCompiler(slot_names, slot_is_vector).compile(*e);
 }
 
 bool BatchVm::run(const BatchChunk& chunk, std::span<const SlotInput> slots,
@@ -801,24 +337,34 @@ bool BatchVm::run(const BatchChunk& chunk, std::span<const SlotInput> slots,
   for (const BatchInstr& in : chunk.code) {
     switch (in.op) {
       case BatchOp::Add:
-        binary(in, [](std::int64_t x, std::int64_t y) { return x + y; });
+        binary(in, [](std::int64_t x, std::int64_t y) {
+          return wrapping::add(x, y);
+        });
         break;
       case BatchOp::Sub:
-        binary(in, [](std::int64_t x, std::int64_t y) { return x - y; });
+        binary(in, [](std::int64_t x, std::int64_t y) {
+          return wrapping::sub(x, y);
+        });
         break;
       case BatchOp::Mul:
-        binary(in, [](std::int64_t x, std::int64_t y) { return x * y; });
+        binary(in, [](std::int64_t x, std::int64_t y) {
+          return wrapping::mul(x, y);
+        });
         break;
       case BatchOp::Div:
-        if (!divmod(in, [](std::int64_t x, std::int64_t y) { return x / y; }))
+        if (!divmod(in, [](std::int64_t x, std::int64_t y) {
+              return wrapping::div(x, y);
+            }))
           return false;
         break;
       case BatchOp::Mod:
-        if (!divmod(in, [](std::int64_t x, std::int64_t y) { return x % y; }))
+        if (!divmod(in, [](std::int64_t x, std::int64_t y) {
+              return wrapping::mod(x, y);
+            }))
           return false;
         break;
-      // Comparisons go through double exactly like the scalar Vm (and
-      // value.cpp's compare()), so lanes match bit-for-bit even past 2^53.
+      // Comparisons go through double exactly like value.cpp's compare(),
+      // so lanes match bit-for-bit even past 2^53.
       case BatchOp::Lt:
         binary(in, [&](std::int64_t x, std::int64_t y) {
           return as_lane(static_cast<double>(x) < static_cast<double>(y));
@@ -850,7 +396,7 @@ bool BatchVm::run(const BatchChunk& chunk, std::span<const SlotInput> slots,
         });
         break;
       case BatchOp::Neg:
-        unary(in, [](std::int64_t x) { return -x; });
+        unary(in, [](std::int64_t x) { return wrapping::neg(x); });
         break;
       case BatchOp::Not:
         unary(in, [&](std::int64_t x) { return as_lane(x == 0); });

@@ -1,23 +1,20 @@
-// Bytecode backend for the expression IR: a one-pass compiler from the Expr
-// AST into a compact register machine, and a stack-free Vm that executes it.
+// Batch lane code for reaction conditions: a one-pass compiler from the Expr
+// AST into straight-line lane code, and a BatchVm that evaluates it over
+// whole candidate column batches.
 //
-// Why: every engine evaluates reaction conditions and by-list expressions on
-// EVERY candidate match, so the Γ fixed-point hot path is dominated by AST
-// walking — shared_ptr chasing, per-node kind dispatch, and a string lookup
-// per variable occurrence. Compiling once per program load replaces all of
-// that with a flat Instr array over a register file: variables become slot
-// indices resolved at compile time, literals live in a constant pool, and
-// evaluation is a single dispatch loop with no allocation.
+// Why: every engine evaluates reaction conditions on EVERY candidate match,
+// so the Γ fixed-point hot path is the innermost match sweep. Under
+// EvalMode::Batch the match pipeline gathers the innermost candidate bucket
+// into int64 columns and evaluates a guard once per batch, producing a fire
+// bitmap, instead of walking the AST once per candidate.
 //
-// Equivalence obligation (enforced by the differential suite in
-// tests/test_bytecode.cpp): for any expression and environment, Vm::run on
-// compile(e) returns exactly what eval(e, env) returns — same Value (kind
-// and payload), same short-circuit behaviour for and/or, and a TypeError /
-// ProgramError whenever the walker throws one. The compiler therefore folds
+// Equivalence obligation (enforced by the differential suites in
+// tests/test_bytecode.cpp): for every lane whose bindings are Ints, the
+// bitmap bit is set exactly when expr::eval (the AST walker, the one scalar
+// evaluator) returns a truthy Value on those bindings. The compiler folds
 // only literal subtrees whose evaluation succeeds (the same guard
 // expr::simplify uses) and applies NO algebraic identities: `0 + x -> x`
-// style rewrites can erase the walker's type errors, which would break
-// state-identity between compiled and interpreted engine runs.
+// style rewrites can erase the walker's type errors.
 #pragma once
 
 #include <array>
@@ -27,133 +24,34 @@
 #include <string>
 #include <vector>
 
-#include "gammaflow/common/value.hpp"
 #include "gammaflow/expr/ast.hpp"
 
 namespace gammaflow::expr {
 
-/// How an engine evaluates reaction conditions and outputs: walking the Expr
-/// AST (the historical reference path), running compiled bytecode, or —
-/// default — batch bitmap evaluation of conditions over whole candidate
-/// column batches, with the scalar Vm for outputs and as the per-reaction
-/// escape hatch whenever a condition is not batchable.
-/// RunOptions::compile / `--no-compile` and `--no-batch` select per run.
-enum class EvalMode : std::uint8_t { Ast, Vm, Batch };
+/// How an engine evaluates reaction conditions: per candidate through the
+/// AST walker (Scalar, `--no-batch`), or — default — batch bitmap
+/// evaluation of conditions over whole candidate column batches, with the
+/// walker for outputs and as the per-reaction fallback whenever a condition
+/// is not batchable. RunOptions::batch selects per run.
+enum class EvalMode : std::uint8_t { Scalar, Batch };
 
 const char* to_string(EvalMode mode) noexcept;
 
-/// Register-machine opcodes. Three-operand form over registers r[dst], r[a],
-/// r[b]; LoadConst/LoadSlot use `a` as a pool/slot index, the conditional
-/// jumps use `b` as an absolute instruction target. See DESIGN.md §8 for the
-/// full ISA table.
-enum class OpCode : std::uint8_t {
-  LoadConst,  // r[dst] = consts[a]
-  LoadSlot,   // r[dst] = *slots[a]          (binder slot, resolved at compile)
-  Add,        // r[dst] = r[a] + r[b]        (checked, promoting — value.hpp)
-  Sub,        // r[dst] = r[a] - r[b]
-  Mul,        // r[dst] = r[a] * r[b]
-  Div,        // r[dst] = r[a] / r[b]        (int/int is integer division)
-  Mod,        // r[dst] = r[a] % r[b]        (two ints only)
-  Lt,         // r[dst] = Bool(r[a] < r[b])
-  Le,         // r[dst] = Bool(r[a] <= r[b])
-  Gt,         // r[dst] = Bool(r[a] > r[b])
-  Ge,         // r[dst] = Bool(r[a] >= r[b])
-  Eq,         // r[dst] = Bool(r[a] == r[b]) (structural)
-  Ne,         // r[dst] = Bool(r[a] != r[b])
-  Neg,        // r[dst] = -r[a]
-  Not,        // r[dst] = not r[a]
-  Truthy,     // r[dst] = Bool(truthy(r[a])) (and/or result normalization)
-  BoolToInt,  // r[dst] = truthy(r[a]) ? Int 1 : Int 0 (dataflow Cmp nodes)
-  JumpIfFalsy,   // if !truthy(r[a]) { r[dst] = Bool(false); pc = b }
-  JumpIfTruthy,  // if  truthy(r[a]) { r[dst] = Bool(true);  pc = b }
-  Ret,        // return r[a]
-};
-
-const char* to_string(OpCode op) noexcept;
-
-struct Instr {
-  OpCode op = OpCode::Ret;
-  std::uint16_t dst = 0;
-  std::uint16_t a = 0;
-  std::uint16_t b = 0;
-};
-
-/// A compiled expression: flat code, constant pool, and the register/slot
-/// footprint the Vm needs. Immutable after compile(); safe to share across
-/// threads (each thread brings its own Vm).
-struct Chunk {
-  std::vector<Instr> code;
-  std::vector<Value> consts;
-  /// Binder slot names in slot-index order (diagnostics / disassembly; the
-  /// code itself refers to slots by index only).
-  std::vector<std::string> slot_names;
-  std::uint16_t register_count = 0;
-
-  /// Human-readable listing, one instruction per line (tests, DESIGN.md).
-  [[nodiscard]] std::string disassemble() const;
-};
-
-struct CompileOptions {
-  /// Append a BoolToInt before Ret: dataflow Cmp nodes emit Int 1/0 (not
-  /// Bool) so cross-model results stay structurally identical.
-  bool bool_to_int_result = false;
-};
-
-/// Compiles `e` against a fixed slot layout: every Var must name an entry of
-/// `slot_names` (its index becomes the LoadSlot operand) — a miss is a
-/// compile-time ProgramError, which is strictly earlier than the walker's
-/// eval-time error and only reachable through unvalidated expressions.
-/// Literal-only subtrees are folded when their evaluation succeeds; throwing
-/// subtrees (1/0) are preserved so runtime errors match the walker.
-[[nodiscard]] Chunk compile(const ExprPtr& e,
-                            std::span<const std::string> slot_names,
-                            const CompileOptions& options = {});
-
-/// Executes chunks. Owns a reusable register file so steady-state evaluation
-/// allocates nothing; one Vm per thread (engines keep one per worker).
-class Vm {
- public:
-  /// Runs `chunk` with `slots[i]` bound to slot i (pointers, not copies —
-  /// the caller's environment outlives the call). A null slot pointer means
-  /// "unbound": referencing it throws the walker's ProgramError, and a slot
-  /// the evaluated path never touches may stay null, exactly like lazy
-  /// Env::lookup. Value operations throw TypeError as the walker does.
-  [[nodiscard]] Value run(const Chunk& chunk,
-                          std::span<const Value* const> slots);
-
-  /// Instructions retired by THIS Vm since construction.
-  [[nodiscard]] std::uint64_t instrs_executed() const noexcept {
-    return instrs_;
-  }
-
- private:
-  std::vector<Value> regs_;
-  std::uint64_t instrs_ = 0;
-};
-
-/// Process-wide count of VM instructions retired (relaxed counter flushed
-/// once per Vm::run). Engines report per-run deltas as the
-/// `vm.instrs_executed` metric.
-[[nodiscard]] std::uint64_t vm_instrs_executed() noexcept;
-
-// ---- Batch backend --------------------------------------------------------
+// ---- Lane code ------------------------------------------------------------
 //
-// A second, narrower compilation target for CONDITIONS evaluated over whole
-// candidate column batches (EvalMode::Batch). compile_batch() translates a
-// scalar Chunk into straight-line lane code: the and/or jumps are eliminated
-// by evaluating both sides eagerly and joining with AndBool/OrBool (sound
+// compile_batch() lowers a condition to straight-line lane code: and/or are
+// evaluated eagerly on both sides and joined with AndBool/OrBool (sound
 // because batch lanes are all-Int and the only faulting lane ops, Div/Mod by
-// a runtime value, abort the whole batch instead of throwing), and the hot
-// LoadSlot/LoadConst→op pairs bench_bytecode measures are fused into the
-// consuming instruction's operands (Kind::Slot / Kind::Imm), so the typical
-// field comparison is ONE instruction per batch instead of three per
-// element. Translation refuses (nullopt) anything whose lane semantics could
-// diverge from the scalar Vm — non-Int/Bool constants, Neg/arith on Bool,
-// division by a literal zero — and the match pipeline then falls back to the
-// scalar probe path for that reaction, keeping batch ≡ scalar ≡ AST exact.
+// a runtime value, abort the whole batch instead of throwing), and variable
+// and literal leaves are fused into the consuming instruction's operands
+// (Kind::Slot / Kind::Imm), so the typical field comparison is ONE
+// instruction per batch. Compilation refuses (nullopt) anything whose lane
+// semantics could diverge from the walker — non-Int/Bool constants,
+// Neg/arith/comparison on Bool, division by a literal zero — and the match
+// pipeline then keeps the scalar probe path for that reaction.
 
 /// One fused operand: a (vector or scalar) register, a binder slot, or an
-/// immediate folded straight out of the constant pool.
+/// Int/Bool literal immediate.
 struct BatchOperand {
   enum class Kind : std::uint8_t { Reg, Slot, Imm };
   Kind kind = Kind::Imm;
@@ -165,17 +63,17 @@ struct BatchOperand {
 };
 
 /// Lane opcodes. Every lane is an int64 (Bool results are 0/1); comparisons
-/// go through double exactly like the scalar Vm and value.cpp's compare(),
-/// so bitmaps are bit-identical with per-element evaluation — including the
-/// >2^53 precision quirks.
+/// go through double exactly like value.cpp's compare(), so bitmaps are
+/// bit-identical with per-element evaluation — including the >2^53
+/// precision quirks.
 enum class BatchOp : std::uint8_t {
   Add, Sub, Mul,
   Div, Mod,   // a zero divisor in ANY lane aborts the batch (scalar fallback)
   Lt, Le, Gt, Ge, Eq, Ne,
   Neg,
   Not,        // lane = (a == 0)
-  Truthy,     // lane = (a != 0); also serves BoolToInt (same lane values)
-  AndBool, OrBool,  // eager joins of the lowered and/or (0/1 lanes)
+  Truthy,     // lane = (a != 0)
+  AndBool, OrBool,  // eager joins of and/or (0/1 lanes)
   Ret,        // bitmap out: lane != 0
 };
 
@@ -196,16 +94,20 @@ struct BatchChunk {
   /// columns (vector slots) / type-checks bindings (scalar slots) only for
   /// slots the condition actually reads.
   std::vector<std::uint8_t> slot_used;
-  /// Loads folded into consuming operands (superinstruction fusion tally).
+  /// Leaves folded into consuming operands (superinstruction fusion tally).
   std::size_t fused_loads = 0;
 };
 
-/// Translates a compiled condition for batch evaluation; `slot_is_vector[i]`
-/// marks slots that vary per lane (innermost-pattern binders) as opposed to
-/// broadcast scalars bound by the outer patterns. Returns nullopt when the
-/// chunk is not batchable (see module note) — callers keep the scalar path.
+/// Compiles condition `e` for batch evaluation against a fixed slot layout:
+/// every Var must name an entry of `slot_names` (its index becomes the Slot
+/// operand); `slot_is_vector[i]` marks slots that vary per lane
+/// (innermost-pattern binders) as opposed to broadcast scalars bound by the
+/// outer patterns. Returns nullopt when the condition is not batchable (see
+/// the note above, plus unknown variables) — callers keep the scalar path.
+/// Throws ProgramError on a null expression.
 [[nodiscard]] std::optional<BatchChunk> compile_batch(
-    const Chunk& chunk, std::span<const std::uint8_t> slot_is_vector);
+    const ExprPtr& e, std::span<const std::string> slot_names,
+    std::span<const std::uint8_t> slot_is_vector);
 
 /// Executes batch chunks over n lanes. Owns reusable lane buffers so
 /// steady-state evaluation allocates nothing; one BatchVm per thread.
@@ -217,7 +119,7 @@ class BatchVm {
   };
 
   /// Evaluates `chunk` over lanes 0..n-1; on success `truthy_out[i]` is 1
-  /// exactly when the scalar Vm would return a truthy Value on lane i's
+  /// exactly when the walker would return a truthy Value on lane i's
   /// bindings. Returns false when any lane divides by zero — the caller must
   /// fall back to the scalar path for the whole batch, which reproduces the
   /// walker's TypeError iff scalar probing actually reaches a faulting lane.

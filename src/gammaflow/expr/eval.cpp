@@ -52,7 +52,7 @@ Value eval(const Expr& e, const Env& env) {
       // Operands evaluate left-to-right, explicitly sequenced: inside an
       // apply() call the order would be unspecified, and WHICH side's error
       // surfaces from a double-faulting expression must not depend on the
-      // compiler (the bytecode Vm is defined to match this order exactly).
+      // compiler.
       {
         const Value a = eval(*e.lhs(), env);
         const Value b = eval(*e.rhs(), env);

@@ -1,5 +1,7 @@
 #include "gammaflow/expr/parser.hpp"
 
+#include <string>
+
 namespace gammaflow::expr {
 
 const Token& TokenStream::expect(TokenKind kind) {
@@ -15,9 +17,23 @@ const Token& TokenStream::expect(TokenKind kind) {
 
 namespace {
 
-ExprPtr parse_or(TokenStream& ts);
+// `depth` counts parenthesis and unary-prefix nesting on the way down;
+// bounded() checks the tree depth of every node built on the way up.
 
-ExprPtr parse_primary(TokenStream& ts) {
+ExprPtr parse_or(TokenStream& ts, std::size_t depth);
+
+[[noreturn]] void too_deep(const Token& t) {
+  throw ParseError("expression nests deeper than " +
+                       std::to_string(kMaxExprDepth) + " levels",
+                   t.line, t.column);
+}
+
+ExprPtr bounded(ExprPtr e, const Token& at) {
+  if (e->depth() > kMaxExprDepth) too_deep(at);
+  return e;
+}
+
+ExprPtr parse_primary(TokenStream& ts, std::size_t depth) {
   const Token& t = ts.peek();
   switch (t.kind) {
     case TokenKind::IntLit:
@@ -35,7 +51,7 @@ ExprPtr parse_primary(TokenStream& ts) {
       return Expr::var(t.text);
     case TokenKind::LParen: {
       ts.advance();
-      ExprPtr inner = parse_or(ts);
+      ExprPtr inner = parse_or(ts, depth + 1);
       ts.expect(TokenKind::RParen);
       return inner;
     }
@@ -47,45 +63,47 @@ ExprPtr parse_primary(TokenStream& ts) {
   }
 }
 
-ExprPtr parse_unary(TokenStream& ts) {
+ExprPtr parse_unary(TokenStream& ts, std::size_t depth) {
+  const Token& t = ts.peek();
+  if (depth > kMaxExprDepth) too_deep(t);
   if (ts.accept(TokenKind::Minus)) {
-    return Expr::unary(UnOp::Neg, parse_unary(ts));
+    return bounded(Expr::unary(UnOp::Neg, parse_unary(ts, depth + 1)), t);
   }
   if (ts.accept(TokenKind::KwNot)) {
-    return Expr::unary(UnOp::Not, parse_unary(ts));
+    return bounded(Expr::unary(UnOp::Not, parse_unary(ts, depth + 1)), t);
   }
-  return parse_primary(ts);
+  return parse_primary(ts, depth);
 }
 
-ExprPtr parse_term(TokenStream& ts) {
-  ExprPtr lhs = parse_unary(ts);
+ExprPtr parse_term(TokenStream& ts, std::size_t depth) {
+  ExprPtr lhs = parse_unary(ts, depth);
   while (true) {
     BinOp op;
     if (ts.at(TokenKind::Star)) op = BinOp::Mul;
     else if (ts.at(TokenKind::Slash)) op = BinOp::Div;
     else if (ts.at(TokenKind::Percent)) op = BinOp::Mod;
     else break;
-    ts.advance();
-    lhs = Expr::binary(op, std::move(lhs), parse_unary(ts));
+    const Token& t = ts.advance();
+    lhs = bounded(Expr::binary(op, std::move(lhs), parse_unary(ts, depth)), t);
   }
   return lhs;
 }
 
-ExprPtr parse_additive(TokenStream& ts) {
-  ExprPtr lhs = parse_term(ts);
+ExprPtr parse_additive(TokenStream& ts, std::size_t depth) {
+  ExprPtr lhs = parse_term(ts, depth);
   while (true) {
     BinOp op;
     if (ts.at(TokenKind::Plus)) op = BinOp::Add;
     else if (ts.at(TokenKind::Minus)) op = BinOp::Sub;
     else break;
-    ts.advance();
-    lhs = Expr::binary(op, std::move(lhs), parse_term(ts));
+    const Token& t = ts.advance();
+    lhs = bounded(Expr::binary(op, std::move(lhs), parse_term(ts, depth)), t);
   }
   return lhs;
 }
 
-ExprPtr parse_comparison(TokenStream& ts) {
-  ExprPtr lhs = parse_additive(ts);
+ExprPtr parse_comparison(TokenStream& ts, std::size_t depth) {
+  ExprPtr lhs = parse_additive(ts, depth);
   // Non-associative (a < b < c is rejected as a type error later, but we
   // still parse left-to-right like most languages).
   while (true) {
@@ -99,30 +117,36 @@ ExprPtr parse_comparison(TokenStream& ts) {
       case TokenKind::Ne: op = BinOp::Ne; break;
       default: return lhs;
     }
-    ts.advance();
-    lhs = Expr::binary(op, std::move(lhs), parse_additive(ts));
+    const Token& t = ts.advance();
+    lhs = bounded(
+        Expr::binary(op, std::move(lhs), parse_additive(ts, depth)), t);
   }
 }
 
-ExprPtr parse_and(TokenStream& ts) {
-  ExprPtr lhs = parse_comparison(ts);
-  while (ts.accept(TokenKind::KwAnd)) {
-    lhs = Expr::binary(BinOp::And, std::move(lhs), parse_comparison(ts));
+ExprPtr parse_and(TokenStream& ts, std::size_t depth) {
+  ExprPtr lhs = parse_comparison(ts, depth);
+  while (ts.at(TokenKind::KwAnd)) {
+    const Token& t = ts.advance();
+    lhs = bounded(Expr::binary(BinOp::And, std::move(lhs),
+                               parse_comparison(ts, depth)),
+                  t);
   }
   return lhs;
 }
 
-ExprPtr parse_or(TokenStream& ts) {
-  ExprPtr lhs = parse_and(ts);
-  while (ts.accept(TokenKind::KwOr)) {
-    lhs = Expr::binary(BinOp::Or, std::move(lhs), parse_and(ts));
+ExprPtr parse_or(TokenStream& ts, std::size_t depth) {
+  ExprPtr lhs = parse_and(ts, depth);
+  while (ts.at(TokenKind::KwOr)) {
+    const Token& t = ts.advance();
+    lhs = bounded(
+        Expr::binary(BinOp::Or, std::move(lhs), parse_and(ts, depth)), t);
   }
   return lhs;
 }
 
 }  // namespace
 
-ExprPtr parse_expression(TokenStream& ts) { return parse_or(ts); }
+ExprPtr parse_expression(TokenStream& ts) { return parse_or(ts, 0); }
 
 ExprPtr parse_expression(std::string_view source) {
   TokenStream ts(tokenize(source));

@@ -45,6 +45,14 @@ class TokenStream {
   std::size_t pos_ = 0;
 };
 
+/// Deepest expression the parser accepts, counting both parenthesis/unary
+/// nesting and the depth of the resulting tree (a long `a + b + ...` chain
+/// is a deep left spine). Every tree walk — the walker, the lane compiler,
+/// to_string, destruction — recurses once per level, so this bound is what
+/// keeps client-supplied text from exhausting the stack. Deeper input is a
+/// ParseError.
+inline constexpr std::size_t kMaxExprDepth = 1000;
+
 /// Parses one expression from `ts`, leaving the cursor after it.
 [[nodiscard]] ExprPtr parse_expression(TokenStream& ts);
 

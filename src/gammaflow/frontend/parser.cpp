@@ -1,5 +1,7 @@
 #include "gammaflow/frontend/parser.hpp"
 
+#include <string>
+
 #include "gammaflow/expr/parser.hpp"
 
 namespace gammaflow::frontend {
@@ -30,6 +32,17 @@ class Parser {
   }
 
   Block block() {
+    if (depth_ == kMaxBlockDepth) {
+      error("blocks nest deeper than " + std::to_string(kMaxBlockDepth) +
+            " levels");
+    }
+    ++depth_;
+    Block body = block_body();
+    --depth_;
+    return body;
+  }
+
+  Block block_body() {
     Block body;
     if (ts_.accept(TokenKind::LBrace)) {
       while (!ts_.at(TokenKind::RBrace)) {
@@ -150,6 +163,7 @@ class Parser {
   }
 
   TokenStream ts_;
+  std::size_t depth_ = 0;  // open blocks around the cursor
 };
 
 }  // namespace

@@ -338,7 +338,7 @@ void worker_loop(StageShared& sh, const std::vector<Reaction>& stage,
     if (proposal) {
       // Revalidate on current slot contents (ids may have been consumed or
       // recycled since the search).
-      if (runtime::MatchPipeline::validate(sh.store, *proposal, mode)) {
+      if (runtime::MatchPipeline::validate(sh.store, *proposal)) {
         bool admitted = false;
         try {
           admitted = runtime::admit_step(

@@ -27,23 +27,6 @@ CompiledReaction::CompiledReaction(const Reaction& reaction)
       }
     }
   }
-  const std::span<const std::string> slot_span(slots_);
-  branches_.reserve(reaction.branches().size());
-  for (const Branch& br : reaction.branches()) {
-    BranchCode bc;
-    bc.is_else = br.is_else;
-    if (br.condition) bc.condition = expr::compile(br.condition, slot_span);
-    bc.outputs.reserve(br.outputs.size());
-    for (const auto& tuple : br.outputs) {
-      std::vector<expr::Chunk> fields;
-      fields.reserve(tuple.size());
-      for (const auto& field : tuple) {
-        fields.push_back(expr::compile(field, slot_span));
-      }
-      bc.outputs.push_back(std::move(fields));
-    }
-    branches_.push_back(std::move(bc));
-  }
   build_batch_plan(reaction);
   compile_ms_ = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
@@ -79,31 +62,33 @@ void CompiledReaction::build_batch_plan(const Reaction& reaction) {
   for (std::size_t i = 0; i < fields.size(); ++i) {
     const PatternField& f = fields[i];
     const auto fi = static_cast<std::uint16_t>(i);
+    // Checks are built in place: moving a local FieldCheck trips GCC 12's
+    // -Wmaybe-uninitialized on the Value variant under the sanitizers.
+    using Kind = BatchPlan::FieldCheck::Kind;
     if (!f.is_binder()) {
       if (fi == plan.key_field) continue;  // the probed bucket guarantees it
-      BatchPlan::FieldCheck c;
+      BatchPlan::FieldCheck& c = plan.checks.emplace_back();
       c.field = fi;
       if (const std::int64_t* v = f.value().if_int()) {
-        c.kind = BatchPlan::FieldCheck::Kind::LitInt;
+        c.kind = Kind::LitInt;
         c.imm = *v;
       } else {
-        c.kind = BatchPlan::FieldCheck::Kind::Lit;
+        c.kind = Kind::Lit;
         c.value = f.value();
       }
-      plan.checks.push_back(std::move(c));
       continue;
     }
     const std::uint16_t s = slot_index(f.name());
-    BatchPlan::FieldCheck c;
-    c.field = fi;
     if (outer_bound[s] != 0) {
-      c.kind = BatchPlan::FieldCheck::Kind::EqSlot;
+      BatchPlan::FieldCheck& c = plan.checks.emplace_back();
+      c.field = fi;
+      c.kind = Kind::EqSlot;
       c.slot = s;
-      plan.checks.push_back(std::move(c));
     } else if (first_field[s] != BatchPlan::kNoField) {
-      c.kind = BatchPlan::FieldCheck::Kind::EqField;
+      BatchPlan::FieldCheck& c = plan.checks.emplace_back();
+      c.field = fi;
+      c.kind = Kind::EqField;
       c.other = first_field[s];
-      plan.checks.push_back(std::move(c));
     } else {
       first_field[s] = fi;
       plan.vector_slots.push_back(BatchPlan::VectorSlot{s, fi});
@@ -115,13 +100,14 @@ void CompiledReaction::build_batch_plan(const Reaction& reaction) {
   // mixing lane bitmaps with scalar branch probes cannot preserve the
   // first-firing-branch order.
   plan.cond_slot_used.assign(slots_.size(), 0);
-  plan.conditions.reserve(branches_.size());
-  for (const BranchCode& bc : branches_) {
-    if (!bc.condition) {
+  plan.conditions.reserve(reaction.branches().size());
+  for (const Branch& br : reaction.branches()) {
+    if (!br.condition) {
       plan.conditions.emplace_back(std::nullopt);
       continue;
     }
-    auto batch = expr::compile_batch(*bc.condition, plan.slot_is_vector);
+    auto batch =
+        expr::compile_batch(br.condition, slots_, plan.slot_is_vector);
     if (!batch) return;  // not batchable: leave batch_ empty
     for (std::size_t s = 0; s < batch->slot_used.size(); ++s) {
       if (batch->slot_used[s] != 0) plan.cond_slot_used[s] = 1;
@@ -129,67 +115,6 @@ void CompiledReaction::build_batch_plan(const Reaction& reaction) {
     plan.conditions.emplace_back(std::move(*batch));
   }
   batch_ = std::move(plan);
-}
-
-std::size_t CompiledReaction::instr_count() const noexcept {
-  std::size_t n = 0;
-  for (const BranchCode& bc : branches_) {
-    if (bc.condition) n += bc.condition->code.size();
-    for (const auto& tuple : bc.outputs) {
-      for (const expr::Chunk& c : tuple) n += c.code.size();
-    }
-  }
-  return n;
-}
-
-void CompiledReaction::bind_slots(const expr::Env& env,
-                                  std::vector<const Value*>& out) const {
-  out.assign(slots_.size(), nullptr);
-  // Fast path: Reaction::match binds the Env in exactly slot order (first
-  // binder occurrence across the replace list), so the i-th entry IS slot i.
-  auto it = env.begin();
-  std::size_t i = 0;
-  for (; i < slots_.size() && it != env.end(); ++i, ++it) {
-    if (it->first != slots_[i]) break;
-    out[i] = &it->second;
-  }
-  if (i == slots_.size() && it == env.end()) return;
-  // Caller-built environment in some other shape: fall back to name lookup.
-  // Names missing from env stay null — LoadSlot throws only if referenced,
-  // mirroring the walker's lazy Env::lookup.
-  for (std::size_t k = 0; k < slots_.size(); ++k) out[k] = env.find(slots_[k]);
-}
-
-std::optional<std::vector<Element>> CompiledReaction::apply(
-    const expr::Env& env, expr::Vm& vm) const {
-  thread_local std::vector<const Value*> slot_ptrs;
-  bind_slots(env, slot_ptrs);
-  const std::span<const Value* const> slots(slot_ptrs);
-
-  const BranchCode* firing = nullptr;
-  for (const BranchCode& bc : branches_) {
-    if (bc.is_else || !bc.condition) {
-      firing = &bc;
-      break;
-    }
-    if (vm.run(*bc.condition, slots).truthy()) {
-      firing = &bc;
-      break;
-    }
-  }
-  if (!firing) return std::nullopt;
-
-  std::vector<Element> produced;
-  produced.reserve(firing->outputs.size());
-  for (const auto& tuple : firing->outputs) {
-    std::vector<Value> fields;
-    fields.reserve(tuple.size());
-    for (const expr::Chunk& chunk : tuple) {
-      fields.push_back(vm.run(chunk, slots));
-    }
-    produced.emplace_back(std::move(fields));
-  }
-  return produced;
 }
 
 Reaction::Reaction(std::string name, std::vector<Pattern> patterns,
@@ -282,25 +207,11 @@ std::optional<std::vector<Element>> Reaction::apply(const expr::Env& env) const 
   return produced;
 }
 
-std::optional<std::vector<Element>> Reaction::apply(
-    const expr::Env& env, expr::EvalMode mode) const {
-  if (mode == expr::EvalMode::Ast) return apply(env);
-  thread_local expr::Vm vm;
-  return compiled_->apply(env, vm);
-}
-
 std::optional<std::vector<Element>> Reaction::try_fire(
     std::span<const Element* const> elements) const {
   expr::Env env;
   if (!match(elements, env)) return std::nullopt;
   return apply(env);
-}
-
-std::optional<std::vector<Element>> Reaction::try_fire(
-    std::span<const Element* const> elements, expr::EvalMode mode) const {
-  expr::Env env;
-  if (!match(elements, env)) return std::nullopt;
-  return apply(env, mode);
 }
 
 bool Reaction::is_shrinking() const noexcept {

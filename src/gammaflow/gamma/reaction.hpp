@@ -29,23 +29,14 @@ namespace gammaflow::gamma {
 
 class Reaction;
 
-/// Bytecode cache for one reaction: every condition and by-list field
-/// expression compiled once against the reaction's binder-slot layout (first
-/// occurrence across the replace list, which is exactly the order
-/// Reaction::match binds an Env in — so slot pointers come straight out of
-/// the match environment with no name lookups). Built eagerly by the
-/// Reaction constructor and shared by copies; immutable, thread-safe to
-/// read, each evaluating thread brings its own expr::Vm.
+/// Compiled form of one reaction: the binder-slot layout (first occurrence
+/// across the replace list, which is exactly the order Reaction::match binds
+/// an Env in) and, when every guard lowers to lane code, the batch-matching
+/// plan. Built eagerly by the Reaction constructor and shared by copies;
+/// immutable and thread-safe to read.
 class CompiledReaction {
  public:
   explicit CompiledReaction(const Reaction& reaction);
-
-  struct BranchCode {
-    /// Missing = unconditional (or else) branch, mirroring Branch::condition.
-    std::optional<expr::Chunk> condition;
-    bool is_else = false;
-    std::vector<std::vector<expr::Chunk>> outputs;
-  };
 
   /// Batch-matching plan for the INNERMOST pattern (the last replace-list
   /// entry — the candidate bucket the match pipeline sweeps as one column
@@ -88,8 +79,9 @@ class CompiledReaction {
     /// Union of slot_used across all batch-compiled guards: which slots the
     /// matcher must gather (vector) or Int-check and broadcast (scalar).
     std::vector<std::uint8_t> cond_slot_used;
-    /// 1:1 with branches(): the batch form of each guard (nullopt for an
-    /// unconditional/else branch, which fires every pending lane).
+    /// 1:1 with Reaction::branches(): the batch form of each guard
+    /// (nullopt for an unconditional/else branch, which fires every pending
+    /// lane).
     std::vector<std::optional<expr::BatchChunk>> conditions;
   };
 
@@ -101,29 +93,16 @@ class CompiledReaction {
   [[nodiscard]] const std::vector<std::string>& slots() const noexcept {
     return slots_;
   }
-  [[nodiscard]] const std::vector<BranchCode>& branches() const noexcept {
-    return branches_;
-  }
   /// Process-unique key of this compiled reaction (shared by Reaction
   /// copies, never reused): what a Store keys its refutation memo by.
   [[nodiscard]] std::uint64_t memo_key() const noexcept { return memo_key_; }
   /// Wall time spent compiling this reaction (`expr.compile_ms` metric).
   [[nodiscard]] double compile_ms() const noexcept { return compile_ms_; }
-  /// Total bytecode instructions across all chunks.
-  [[nodiscard]] std::size_t instr_count() const noexcept;
-
-  /// VM analogue of Reaction::apply: selects the firing branch under `env`
-  /// and evaluates its outputs by running bytecode on `vm`. Produces the
-  /// same result (or the same thrown error) as the AST walker.
-  [[nodiscard]] std::optional<std::vector<Element>> apply(
-      const expr::Env& env, expr::Vm& vm) const;
 
  private:
-  void bind_slots(const expr::Env& env, std::vector<const Value*>& out) const;
   void build_batch_plan(const Reaction& reaction);
 
   std::vector<std::string> slots_;
-  std::vector<BranchCode> branches_;
   std::optional<BatchPlan> batch_;
   std::uint64_t memo_key_;
   double compile_ms_ = 0.0;
@@ -176,19 +155,12 @@ class Reaction {
   [[nodiscard]] std::optional<std::vector<Element>> apply(
       const expr::Env& env) const;
 
-  /// Same, via the requested evaluator: Ast walks the expression trees (the
-  /// reference path above), Vm runs this reaction's compiled bytecode on a
-  /// thread-local expr::Vm. Engines pick the mode from RunOptions::compile.
-  [[nodiscard]] std::optional<std::vector<Element>> apply(
-      const expr::Env& env, expr::EvalMode mode) const;
-
   /// match + apply in one call; elements.size() must equal arity().
   [[nodiscard]] std::optional<std::vector<Element>> try_fire(
       std::span<const Element* const> elements) const;
-  [[nodiscard]] std::optional<std::vector<Element>> try_fire(
-      std::span<const Element* const> elements, expr::EvalMode mode) const;
 
-  /// The bytecode compiled once at construction (never null; copies share).
+  /// The compiled form built once at construction (never null; copies
+  /// share).
   [[nodiscard]] const CompiledReaction& compiled() const noexcept {
     return *compiled_;
   }

@@ -267,21 +267,21 @@ struct Match {
 /// Finds one enabled match for `reaction` (patterns match AND a branch
 /// fires). With `rng`, candidate buckets are probed starting at random
 /// offsets so repeated calls are fair; without, the first match in bucket
-/// order is returned (deterministic). `mode` selects how conditions and
-/// outputs are evaluated once the patterns match — the AST walker (default,
-/// reference semantics), the reaction's compiled bytecode, or batch bitmap
-/// evaluation over the innermost candidate column batch; all produce
-/// identical Matches, engines pass RunOptions::eval_mode().
+/// order is returned (deterministic). `mode` selects how conditions are
+/// evaluated once the patterns match — the AST walker per candidate
+/// (default, reference semantics) or batch bitmap evaluation over the
+/// innermost candidate column batch; both produce identical Matches,
+/// engines pass RunOptions::eval_mode().
 /// Delegates to runtime::MatchPipeline::find (the one implementation).
 [[nodiscard]] std::optional<Match> find_match(
     Store& store, const Reaction& reaction, Rng* rng = nullptr,
-    expr::EvalMode mode = expr::EvalMode::Ast);
+    expr::EvalMode mode = expr::EvalMode::Scalar);
 
 /// Read-only variant for concurrent searchers holding a shared lock; leaves
 /// index garbage in place (see Store::compact).
 [[nodiscard]] std::optional<Match> find_match(
     const Store& store, const Reaction& reaction, Rng* rng = nullptr,
-    expr::EvalMode mode = expr::EvalMode::Ast);
+    expr::EvalMode mode = expr::EvalMode::Scalar);
 
 /// Invokes `fn` for every enabled match (ordered tuples of distinct
 /// elements), stopping early when fn returns false or `limit` matches were
@@ -290,7 +290,7 @@ struct Match {
 std::size_t enumerate_matches(Store& store, const Reaction& reaction,
                               std::size_t limit,
                               const std::function<bool(const Match&)>& fn,
-                              expr::EvalMode mode = expr::EvalMode::Ast);
+                              expr::EvalMode mode = expr::EvalMode::Scalar);
 
 /// Applies a found match: removes the consumed ids, inserts the produced
 /// elements. Precondition: all ids alive.

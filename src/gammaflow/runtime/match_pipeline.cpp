@@ -87,7 +87,7 @@ std::size_t search(StoreT& store, const Reaction& reaction, std::size_t limit,
   auto dfs = [&](auto&& self, std::size_t depth) -> void {
     if (stop) return;
     if (depth == k) {
-      auto produced = reaction.apply(envs[k], mode);
+      auto produced = reaction.apply(envs[k]);
       if (!produced) return;  // patterns matched but no branch fires
       Match m;
       m.reaction = &reaction;
@@ -221,8 +221,7 @@ std::size_t MatchPipeline::enumerate(Store& store, const Reaction& reaction,
                 [&](Match& m) { return fn(m); });
 }
 
-bool MatchPipeline::validate(const Store& store, Match& match,
-                             expr::EvalMode mode) {
+bool MatchPipeline::validate(const Store& store, Match& match) {
   const auto& patterns = match.reaction->patterns();
   if (match.ids.size() != patterns.size()) return false;
   expr::Env env;
@@ -233,7 +232,7 @@ bool MatchPipeline::validate(const Store& store, Match& match,
     if (!store.alive(match.ids[i])) return false;
     if (!store.match_pattern(patterns[i], match.ids[i], env)) return false;
   }
-  auto produced = match.reaction->apply(env, mode);
+  auto produced = match.reaction->apply(env);
   if (!produced) return false;
   match.env = std::move(env);
   match.produced = std::move(*produced);

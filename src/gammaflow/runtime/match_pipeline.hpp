@@ -49,15 +49,15 @@ namespace gammaflow::runtime {
 struct MatchPipeline {
   /// One enabled match of `reaction` (patterns match AND a branch fires),
   /// or nullopt after an EXHAUSTIVE failed search (the fixed-point proof the
-  /// engines' termination detection rests on). `mode` selects the evaluator
-  /// for conditions/outputs (RunOptions::eval_mode()).
+  /// engines' termination detection rests on). `mode` selects how the
+  /// innermost bucket's conditions are evaluated (RunOptions::eval_mode()).
   [[nodiscard]] static std::optional<gamma::Match> find(
       gamma::Store& store, const gamma::Reaction& reaction, Rng* rng = nullptr,
-      expr::EvalMode mode = expr::EvalMode::Ast);
+      expr::EvalMode mode = expr::EvalMode::Scalar);
   /// Read-only variant for searchers under a shared lock; see header note.
   [[nodiscard]] static std::optional<gamma::Match> find(
       const gamma::Store& store, const gamma::Reaction& reaction,
-      Rng* rng = nullptr, expr::EvalMode mode = expr::EvalMode::Ast);
+      Rng* rng = nullptr, expr::EvalMode mode = expr::EvalMode::Scalar);
 
   /// Invokes `fn` for every enabled match (ordered tuples of distinct
   /// elements), stopping early when fn returns false or `limit` matches were
@@ -67,7 +67,7 @@ struct MatchPipeline {
                                const gamma::Reaction& reaction,
                                std::size_t limit,
                                const std::function<bool(const gamma::Match&)>& fn,
-                               expr::EvalMode mode = expr::EvalMode::Ast);
+                               expr::EvalMode mode = expr::EvalMode::Scalar);
 
   /// Revalidates `match` against the store's CURRENT slot contents: all ids
   /// alive, patterns still match, a branch still fires. On success the
@@ -75,7 +75,7 @@ struct MatchPipeline {
   /// commit may proceed; false means another thread invalidated the proposal
   /// (the optimistic engines re-search — progress happened elsewhere).
   [[nodiscard]] static bool validate(const gamma::Store& store,
-                                     gamma::Match& match, expr::EvalMode mode);
+                                     gamma::Match& match);
 
   /// Applies a match: removes the consumed ids, inserts the produced
   /// elements. Precondition: all ids alive (fresh find, or validate passed,
@@ -98,7 +98,8 @@ struct MatchPipeline {
 [[nodiscard]] std::uint64_t probes_total() noexcept;
 [[nodiscard]] std::uint64_t refuted_skips_total() noexcept;
 
-/// Feeds every reaction's one-time bytecode compile cost into the
+/// Feeds every reaction's one-time compile cost (slot layout + lane code)
+/// into the
 /// "expr.compile_ms" histogram — the shared tail of every Gamma engine's
 /// telemetry block. Null-safe.
 void observe_reaction_compile(obs::Telemetry* tel,

@@ -23,7 +23,6 @@ bool admit_step(LimitPolicy policy, std::uint64_t fired, std::uint64_t budget,
 EngineTelemetry::EngineTelemetry(const RunOptions& options, const char* domain)
     : tel_(options.telemetry), domain_(domain), mode_(options.eval_mode()) {
   if (tel_ != nullptr) {
-    instrs0_ = expr::vm_instrs_executed();
     batch_evals0_ = expr::batch_evals();
     batch_width0_ = expr::batch_width_counts();
     compactions0_ = gamma::column_compactions_total();
@@ -41,7 +40,6 @@ void EngineTelemetry::finish(Outcome outcome, MetricsSnapshot& out) const {
   auto& stats = tel_->stats();
   stats.count(std::string(domain_) + ".outcome." + to_string(outcome));
   stats.count(std::string(domain_) + ".eval_mode." + expr::to_string(mode_));
-  stats.count("vm.instrs_executed", expr::vm_instrs_executed() - instrs0_);
   stats.count("vm.batch_evals", expr::batch_evals() - batch_evals0_);
   // Replay the process-global width tally as per-run histogram deltas. The
   // global array buckets widths by bit_width — the same indexing the

@@ -16,7 +16,7 @@
 //   TraceSink       — the record_trace / trace_limit / trace_dropped triple.
 //   EngineTelemetry — the end-of-run metric tail every engine emits the same
 //                     way: "<domain>.outcome.*", "<domain>.eval_mode.*", the
-//                     "vm.instrs_executed" delta, and the registry snapshot.
+//                     batch-evaluation deltas, and the registry snapshot.
 //
 // The engines keep only what genuinely differs between them: match-selection
 // order, commit strategy, and worker topology.
@@ -246,8 +246,7 @@ class TraceSink {
 /// The end-of-run telemetry tail every engine emits identically, null-safe
 /// throughout (a disabled sink costs one pointer test per call):
 ///   "<domain>.outcome.<why>"     — one count per run
-///   "<domain>.eval_mode.<batch|vm|ast>"
-///   "vm.instrs_executed"         — delta since construction
+///   "<domain>.eval_mode.<batch|scalar>"
 ///   "vm.batch_evals"             — BatchVm chunk evaluations (delta)
 ///   "vm.batch_width"             — histogram of batch chunk widths (delta)
 ///   "store.column_compactions"   — column-group compaction passes (delta)
@@ -277,7 +276,6 @@ class EngineTelemetry {
   obs::Telemetry* tel_;
   const char* domain_;
   expr::EvalMode mode_;
-  std::uint64_t instrs0_ = 0;
   std::uint64_t batch_evals0_ = 0;
   std::array<std::uint64_t, expr::kBatchWidthBuckets> batch_width0_{};
   std::uint64_t compactions0_ = 0;

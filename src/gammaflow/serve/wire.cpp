@@ -99,7 +99,25 @@ class Parser {
     return number();
   }
 
+  /// Counts one level of array/object nesting for the current scope.
+  class Nest {
+   public:
+    explicit Nest(Parser& p) : p_(p) {
+      if (++p_.depth_ > kMaxJsonDepth) {
+        p_.fail("JSON nests deeper than " + std::to_string(kMaxJsonDepth) +
+                " levels");
+      }
+    }
+    ~Nest() { --p_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& p_;
+  };
+
   Json object() {
+    const Nest nest(*this);
     expect('{');
     JsonObj obj;
     if (accept('}')) return Json(std::move(obj));
@@ -113,6 +131,7 @@ class Parser {
   }
 
   Json array() {
+    const Nest nest(*this);
     expect('[');
     JsonArr arr;
     if (accept(']')) return Json(std::move(arr));
@@ -216,6 +235,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open arrays/objects around pos_
 };
 
 }  // namespace

@@ -29,6 +29,11 @@ class WireError : public Error {
   explicit WireError(const std::string& what) : Error("WireError: " + what) {}
 };
 
+/// Deepest array/object nesting parse() accepts. Protocol requests are flat
+/// objects; the bound keeps a hostile line (300k `[`) from exhausting the
+/// parser's stack — deeper input is a WireError like any malformed line.
+inline constexpr std::size_t kMaxJsonDepth = 64;
+
 class Json;
 using JsonArr = std::vector<Json>;
 using JsonObj = std::map<std::string, Json>;

@@ -1,13 +1,17 @@
-// Differential tests for the bytecode backend: the Vm must be observationally
-// identical to the AST walker — same Value on success, same error (type AND
-// message) on failure, same short-circuit and lazy-unbound behaviour — on
-// hand-picked edge cases, on >=500 randomly generated expressions, and on the
-// example-program corpus run through every engine with compile on vs off.
+// Differential tests for the batch lane backend: lane code compiled from the
+// Expr AST must agree with the AST walker (expr::eval, the one scalar
+// evaluator) — a set bitmap lane exactly where the walker returns a truthy
+// Value, and an aborted batch wherever a lane's divisor is zero, never a
+// silently wrong lane — on hand-picked edge cases, on >=500 generated
+// expressions from each of two generators, and on the example corpus run
+// through every engine with batch on vs off (`--no-batch`).
 #include <gtest/gtest.h>
 
 #include <array>
 #include <fstream>
 #include <functional>
+#include <limits>
+#include <set>
 #include <span>
 #include <sstream>
 
@@ -36,12 +40,20 @@ ExprPtr parse(const std::string& text) {
   return e;
 }
 
-/// The slot layout every test compiles against; `u` stays unbound so lazy
-/// unbound-variable semantics get exercised.
+/// The slot layout every test compiles against: `a` is the vector (per-lane)
+/// slot, `b`/`c`/`u` are broadcast scalars.
 const std::vector<std::string> kSlots = {"a", "b", "c", "u"};
+constexpr std::array<std::uint8_t, 4> kVecA = {1, 0, 0, 0};
 
-/// A walker or Vm evaluation collapsed to its observable: the value, or the
-/// error text (prefixed with a coarse error class).
+std::optional<expr::BatchChunk> lanes_for(const ExprPtr& e) {
+  return expr::compile_batch(e, kSlots, kVecA);
+}
+std::optional<expr::BatchChunk> lanes_for(const std::string& text) {
+  return lanes_for(parse(text));
+}
+
+/// A walker evaluation collapsed to its observable: the value, or the error
+/// text (prefixed with a coarse error class).
 struct Observed {
   bool ok = false;
   Value value;
@@ -69,154 +81,250 @@ Observed observe(Fn&& fn) {
   return o;
 }
 
-Observed walker_result(const ExprPtr& e, const Env& env) {
-  return observe([&] { return expr::eval(e, env); });
-}
+/// What one batch evaluation showed: whether the condition lane-compiled,
+/// whether the batch ran (false = a zero divisor aborted it), and whether
+/// the walker threw on any lane.
+struct LaneRun {
+  bool compiled = false;
+  bool ran = false;
+  bool walker_faulted = false;
+};
 
-Observed vm_result(const ExprPtr& e, const Env& env) {
-  const expr::Chunk chunk = expr::compile(e, kSlots);
-  std::vector<const Value*> slots(kSlots.size(), nullptr);
-  for (std::size_t i = 0; i < kSlots.size(); ++i) {
-    slots[i] = env.find(kSlots[i]);
+/// Evaluates `e` over `col_a` bound to slot `a` (b, c, u broadcast) through
+/// the lane code and checks it against the walker on every lane's bindings:
+/// when the batch runs, no lane may fault in the walker and every bit must
+/// equal the walker's truthiness. An aborted batch is always sound — the
+/// match pipeline re-probes it through the walker — so callers decide what
+/// an abort must mean for their case.
+LaneRun run_lanes(const ExprPtr& e, std::span<const std::int64_t> col_a,
+                  std::int64_t b, std::int64_t c, std::int64_t u,
+                  const std::string& context) {
+  LaneRun r;
+  const auto batch = lanes_for(e);
+  if (!batch) return r;
+  r.compiled = true;
+  std::vector<expr::BatchVm::SlotInput> slots(kSlots.size());
+  slots[0].column = col_a.data();
+  slots[1].scalar = b;
+  slots[2].scalar = c;
+  slots[3].scalar = u;
+  expr::BatchVm vm;
+  std::vector<std::uint8_t> out;
+  r.ran = vm.run(*batch, slots, col_a.size(), out);
+  for (std::size_t i = 0; i < col_a.size(); ++i) {
+    Env env;
+    env.bind("a", Value(col_a[i]));
+    env.bind("b", Value(b));
+    env.bind("c", Value(c));
+    env.bind("u", Value(u));
+    const Observed o = observe([&] { return expr::eval(e, env); });
+    if (!o.ok) {
+      r.walker_faulted = true;
+      EXPECT_FALSE(r.ran) << context << " lane " << i
+                          << ": batch ran over a faulting lane (" << o << ")";
+      continue;
+    }
+    if (r.ran) {
+      EXPECT_EQ(out[i] != 0, o.value.truthy()) << context << " lane " << i;
+    }
   }
-  expr::Vm vm;
-  return observe([&] { return vm.run(chunk, slots); });
+  return r;
 }
 
-Env abc_env(std::int64_t a, std::int64_t b, std::int64_t c) {
-  Env env;
-  env.bind("a", Value(a));
-  env.bind("b", Value(b));
-  env.bind("c", Value(c));
-  return env;
+/// Hand-picked case: `text` must lane-compile and agree with the walker on
+/// every lane, aborting only where the walker itself faults.
+void expect_identical(const std::string& text,
+                      std::span<const std::int64_t> col_a, std::int64_t b,
+                      std::int64_t c) {
+  const LaneRun r = run_lanes(parse(text), col_a, b, c, 0, text);
+  EXPECT_TRUE(r.compiled) << text;
+  if (r.compiled && !r.ran) {
+    EXPECT_TRUE(r.walker_faulted) << text << ": aborted, no lane faults";
+  }
 }
 
-void expect_identical(const std::string& text, const Env& env) {
-  const ExprPtr e = parse(text);
-  EXPECT_EQ(walker_result(e, env), vm_result(e, env)) << text;
+/// Runs one program on the deterministic engines with batch on and off;
+/// the two runs must end identically — same state and step count, or the
+/// same error text.
+struct EngineRun {
+  bool ok = false;
+  gamma::Multiset state;
+  std::uint64_t steps = 0;
+  std::string error;
+
+  friend bool operator==(const EngineRun& x, const EngineRun& y) {
+    return x.ok == y.ok &&
+           (x.ok ? (x.state == y.state && x.steps == y.steps)
+                 : x.error == y.error);
+  }
+  friend std::ostream& operator<<(std::ostream& os, const EngineRun& r) {
+    return r.ok ? (os << r.steps << " steps to " << r.state)
+                : (os << "error " << r.error);
+  }
+};
+
+EngineRun run_mode(gamma::Engine& engine, const gamma::Program& p,
+                   const gamma::Multiset& init,
+                   const gamma::RunOptions& opts) {
+  EngineRun r;
+  try {
+    auto result = engine.run(p, init, opts);
+    r.state = std::move(result.final_multiset);
+    r.steps = result.steps;
+    r.ok = true;
+  } catch (const TypeError& ex) {
+    r.error = std::string("TypeError: ") + ex.what();
+  } catch (const ProgramError& ex) {
+    r.error = std::string("ProgramError: ") + ex.what();
+  }
+  return r;
+}
+
+void expect_batch_on_off_identical(const std::string& src,
+                                   const gamma::Multiset& init) {
+  const gamma::Program p = gamma::dsl::parse_program(src);
+  gamma::RunOptions batch_opts;
+  batch_opts.seed = 3;
+  gamma::RunOptions ast_opts = batch_opts;
+  ast_opts.batch = false;
+  gamma::SequentialEngine seq;
+  gamma::IndexedEngine idx;
+  for (gamma::Engine* engine :
+       std::initializer_list<gamma::Engine*>{&seq, &idx}) {
+    EXPECT_EQ(run_mode(*engine, p, init, batch_opts),
+              run_mode(*engine, p, init, ast_opts))
+        << engine->name() << ": " << src;
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Hand-picked equivalence edges.
 
 TEST(Bytecode, ValueAndArithmeticAgree) {
-  const Env env = abc_env(7, -3, 0);
+  const std::vector<std::int64_t> col = {7, -7, 0, 3};
   for (const char* text :
        {"a + b", "a - b", "a * b", "a + b * c", "-(a) + -b", "a % 4",
         "(a + b) * (a - b)", "a / 2", "b / a"}) {
-    expect_identical(text, env);
+    expect_identical(text, col, -3, 0);
   }
 }
 
 TEST(Bytecode, ComparisonsAgree) {
-  const Env env = abc_env(5, 5, -2);
+  const std::vector<std::int64_t> col = {5, 4, 6, -2};
   for (const char* text : {"a < b", "a <= b", "a > b", "a >= b", "a == b",
                            "a != b", "a == 5", "c < a and a <= b"}) {
-    expect_identical(text, env);
+    expect_identical(text, col, 5, -2);
   }
 }
 
 TEST(Bytecode, DivisionByZeroThrowsIdentically) {
-  const Env env = abc_env(1, 0, 3);
-  expect_identical("a / b", env);
-  expect_identical("a % b", env);
-  expect_identical("1 / 0", env);      // constant, but never folded away
-  expect_identical("1 / 0 + a", env);  // throwing subtree preserved
+  // A runtime zero divisor aborts the batch exactly where the walker throws;
+  // the pipeline's scalar re-probe then raises the walker's own error.
+  const std::vector<std::int64_t> col = {1, 2};
+  expect_identical("a / b", col, 0, 3);
+  expect_identical("a % b", col, 0, 3);
+  // A literal zero divisor is a guaranteed error on the evaluated path: the
+  // compiler refuses it (never folded away either), so only the walker
+  // reports it, with its exact text.
+  EXPECT_FALSE(lanes_for("1 / 0"));
+  EXPECT_FALSE(lanes_for("1 / 0 + a"));
 }
 
 TEST(Bytecode, ShortCircuitSkipsPoisonedRhs) {
-  // b == 0, so the division would throw — but neither evaluator reaches it.
-  const Env env = abc_env(1, 0, 3);
-  expect_identical("b != 0 and 10 / b > 2", env);
-  expect_identical("b == 0 or 10 / b > 2", env);
-  // And when the guard passes, both throw the same error.
-  expect_identical("b == 0 and 10 / b > 2", env);
+  // b == 0, so the division would throw — the walker never reaches it, but
+  // eager lanes do: the batch aborts (sound, never wrong) and the scalar
+  // re-probe returns the walker's answer.
+  const std::vector<std::int64_t> col = {1, 2, 3};
+  for (const char* text : {"b != 0 and 10 / b > 2", "b == 0 or 10 / b > 2"}) {
+    const LaneRun r = run_lanes(parse(text), col, 0, 3, 0, text);
+    EXPECT_TRUE(r.compiled) << text;
+    EXPECT_FALSE(r.ran) << text;
+    EXPECT_FALSE(r.walker_faulted) << text;
+  }
+  // And when the guard passes, the walker throws and the batch aborts.
+  expect_identical("b == 0 and 10 / b > 2", col, 0, 3);
 }
 
 TEST(Bytecode, FoldedShortCircuitMatchesWalker) {
-  const Env env = abc_env(1, 2, 3);
-  // `false and X` folds to false without evaluating X — like the walker.
-  expect_identical("false and 1 / 0 > 1", env);
-  expect_identical("true or 1 / 0 > 1", env);
-  // But a reachable poisoned branch still throws in both.
-  expect_identical("true and 1 / 0 > 1", env);
+  // `false and X` folds to false without evaluating X — like the walker —
+  // so the whole condition is one immediate returned from the batch.
+  const std::vector<std::int64_t> col = {1, 2, 3};
+  for (const char* text : {"false and 1 / 0 > 1", "true or 1 / 0 > 1"}) {
+    const auto batch = lanes_for(text);
+    ASSERT_TRUE(batch.has_value()) << text;
+    EXPECT_EQ(batch->code.size(), 1u) << text;
+    expect_identical(text, col, 2, 3);
+  }
+  // But a reachable poisoned branch is a literal zero divisor: refused.
+  EXPECT_FALSE(lanes_for("true and 1 / 0 > 1"));
 }
 
 TEST(Bytecode, UnboundSlotIsLazy) {
-  const Env env = abc_env(1, 2, 3);  // `u` not bound
-  expect_identical("a > 0 or u > 0", env);   // u never touched: fine
-  expect_identical("a < 0 or u > 0", env);   // u referenced: same error
-  expect_identical("u + 1", env);
+  // The walker raises an unbound variable only when it reaches it; lanes
+  // read every slot eagerly, so a name outside the slot layout refuses the
+  // whole condition and the walker keeps its lazy semantics.
+  EXPECT_FALSE(lanes_for("a > 0 or nope > 0"));
+  EXPECT_FALSE(lanes_for("nope + 1"));
+  // A name in the layout is read (and marked used) even on a skipped side.
+  const auto batch = lanes_for("a > 0 or u > 0");
+  ASSERT_TRUE(batch.has_value());
+  EXPECT_EQ(batch->slot_used[3], 1);
+  const std::vector<std::int64_t> col = {1, -1};
+  expect_identical("a > 0 or u > 0", col, 2, 3);
 }
 
 TEST(Bytecode, TruthinessErrorsAgree) {
-  Env env = abc_env(1, 2, 3);
-  env.bind("s", Value("text"));
-  const std::vector<std::string> slots = {"a", "s"};
-  for (const char* text : {"s and a > 0", "a > 0 and s", "not s"}) {
-    const ExprPtr e = parse(text);
-    const expr::Chunk chunk = expr::compile(e, slots);
-    const Value* ptrs[2] = {env.find("a"), env.find("s")};
-    expr::Vm vm;
-    EXPECT_EQ(walker_result(e, env), observe([&] { return vm.run(chunk, ptrs); }))
-        << text;
+  // A Str binding never enters the lane model (the matcher only gathers
+  // Int columns): the batch run falls back to the walker, which raises the
+  // same TypeError at the same step as a --no-batch run.
+  gamma::Multiset init;
+  init.add(gamma::Element{Value(1), Value("text")});
+  init.add(gamma::Element{Value(2), Value("more")});
+  for (const char* cond : {"s and a > 0", "a > 0 and s", "not s"}) {
+    expect_batch_on_off_identical(
+        std::string("R = replace [a, s] by [a] where ") + cond, init);
   }
 }
 
 TEST(Bytecode, StringOperationsAgree) {
-  Env env;
-  env.bind("a", Value("foo"));
-  env.bind("b", Value("bar"));
-  env.bind("c", Value(std::int64_t{1}));
-  for (const char* text :
-       {"a + b", "a < b", "a == b", "a != b", "a + b == 'foobar'", "a - b",
-        "a + c"}) {
-    expect_identical(text, env);
+  // String literals refuse lane compilation outright; string bindings keep
+  // a batchable plan whose matcher falls back per visit. Both paths must
+  // reach the --no-batch fixpoint exactly.
+  EXPECT_FALSE(lanes_for("a + b == 'foobar'"));
+  gamma::Multiset init;
+  init.add(gamma::Element{Value("foo"), Value("bar")});
+  init.add(gamma::Element{Value("bar"), Value("foo")});
+  init.add(gamma::Element{Value("a"), Value(1)});
+  for (const char* cond :
+       {"a + b == 'foobar'", "a < b", "a == b", "a != b", "a - b > 0",
+        "a + b"}) {
+    expect_batch_on_off_identical(
+        std::string("R = replace [a, b] by [b, a, 0] where ") + cond, init);
   }
 }
 
-TEST(Bytecode, UnknownVariableFailsAtCompileTime) {
-  EXPECT_THROW(expr::compile(parse("nope + 1"), kSlots), ProgramError);
-}
-
 TEST(Bytecode, CompileRejectsNull) {
-  EXPECT_THROW(expr::compile(nullptr, kSlots), ProgramError);
+  EXPECT_THROW((void)expr::compile_batch(nullptr, kSlots, kVecA),
+               ProgramError);
 }
 
 TEST(Bytecode, LiteralFoldingKeepsPoolSmall) {
-  // A pure-literal subtree becomes one constant; throwing ones stay as code.
-  const expr::Chunk folded = expr::compile(parse("(2 + 3) * 4 + a"), kSlots);
-  ASSERT_FALSE(folded.consts.empty());
-  EXPECT_EQ(folded.consts[0], Value(std::int64_t{20}));
-  const expr::Chunk kept = expr::compile(parse("1 / 0 + a"), kSlots);
-  EXPECT_GT(kept.code.size(), folded.code.size());
-}
-
-TEST(Bytecode, DisassembleMentionsEveryInstruction) {
-  const expr::Chunk chunk = expr::compile(parse("a < b and a + 1 < c"), kSlots);
-  const std::string listing = chunk.disassemble();
-  EXPECT_NE(listing.find("loadslot"), std::string::npos);
-  EXPECT_NE(listing.find("jumpiffalsy"), std::string::npos);
-  EXPECT_NE(listing.find("ret"), std::string::npos);
-  EXPECT_EQ(static_cast<std::size_t>(
-                std::count(listing.begin(), listing.end(), '\n')),
-            chunk.code.size());
-}
-
-TEST(Bytecode, InstructionCountersAdvance) {
-  const expr::Chunk chunk = expr::compile(parse("a + b"), kSlots);
-  const Env env = abc_env(1, 2, 3);
-  std::vector<const Value*> slots(kSlots.size(), nullptr);
-  for (std::size_t i = 0; i < kSlots.size(); ++i) slots[i] = env.find(kSlots[i]);
-  expr::Vm vm;
-  const std::uint64_t global0 = expr::vm_instrs_executed();
-  (void)vm.run(chunk, slots);
-  EXPECT_EQ(vm.instrs_executed(), chunk.code.size());  // 2 loads, add, ret
-  EXPECT_EQ(expr::vm_instrs_executed() - global0, chunk.code.size());
+  // A pure-literal subtree becomes one fused immediate; a throwing one is
+  // kept for the walker (here: a literal zero divisor, so refused).
+  const auto folded = lanes_for("(2 + 3) * 4 + a");
+  ASSERT_TRUE(folded.has_value());
+  ASSERT_EQ(folded->code.size(), 2u);  // add, ret
+  EXPECT_EQ(folded->code[0].a.kind, expr::BatchOperand::Kind::Imm);
+  EXPECT_EQ(folded->code[0].a.imm, 20);
+  // Mixed-kind literals fold too when the walker evaluates them cleanly.
+  EXPECT_TRUE(lanes_for("'x' == 'x' and a > 0"));
+  EXPECT_FALSE(lanes_for("1 / 0 + a"));
 }
 
 // ---------------------------------------------------------------------------
-// Randomized differential property: >=500 generated (expression, env) pairs.
+// Randomized differential property: >=500 generated (expression, lanes)
+// pairs from the full expression generator — mixed-kind literals included,
+// so the refusal rules are exercised as much as the lanes.
 
 ExprPtr random_expr(Rng& rng, int depth) {
   if (depth == 0 || rng.coin(0.3)) {
@@ -246,29 +354,26 @@ ExprPtr random_expr(Rng& rng, int depth) {
                             random_expr(rng, depth - 1));
 }
 
-Value random_value(Rng& rng) {
-  switch (rng.bounded(4)) {
-    case 0: return Value(static_cast<std::int64_t>(rng.bounded(9)) - 4);
-    case 1: return Value(static_cast<double>(rng.bounded(8)) / 2.0);
-    case 2: return Value(rng.coin());
-    default: return Value(rng.coin() ? "s" : "x");
-  }
-}
-
 class BytecodeDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BytecodeDifferential, VmMatchesWalker) {
-  // 10 trials per parameterized seed x 50 seeds = 500 distinct cases.
+  // 10 trials per parameterized seed x 50 seeds = 500 distinct cases. Every
+  // expression the lane compiler accepts must agree with the walker on Int
+  // bindings (the only bindings the matcher feeds lanes).
   for (std::uint64_t trial = 0; trial < 10; ++trial) {
     Rng rng(GetParam() * 1000 + trial);
     const ExprPtr e = random_expr(rng, 4);
-    Env env;
-    env.bind("a", random_value(rng));
-    env.bind("b", random_value(rng));
-    env.bind("c", random_value(rng));  // `u` stays unbound
-    EXPECT_EQ(walker_result(e, env), vm_result(e, env))
-        << "seed " << GetParam() << " trial " << trial << ": "
-        << e->to_string();
+    std::vector<std::int64_t> col(9);
+    for (auto& v : col) v = static_cast<std::int64_t>(rng.bounded(9)) - 4;
+    const auto scalar = [&] {
+      return static_cast<std::int64_t>(rng.bounded(9)) - 4;
+    };
+    const std::int64_t b = scalar();
+    const std::int64_t c = scalar();
+    const std::int64_t u = scalar();
+    (void)run_lanes(e, col, b, c, u,
+                    "seed " + std::to_string(GetParam()) + " trial " +
+                        std::to_string(trial) + ": " + e->to_string());
   }
 }
 
@@ -276,7 +381,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BytecodeDifferential,
                          ::testing::Range(std::uint64_t{1}, std::uint64_t{51}));
 
 // ---------------------------------------------------------------------------
-// Engine-level state identity on the example corpus, compile on vs off.
+// Engine-level state identity on the example corpus, batch on vs off.
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
@@ -316,6 +421,8 @@ std::vector<GammaCase> gamma_corpus() {
 }
 
 TEST(BytecodeCorpus, GammaEnginesStateIdenticalCompileOnOff) {
+  // Lane-compiled conditions (default) vs the walker everywhere
+  // (`--no-batch`), on every Gamma engine.
   const std::vector<std::unique_ptr<gamma::Engine>> engines = [] {
     std::vector<std::unique_ptr<gamma::Engine>> v;
     v.push_back(std::make_unique<gamma::SequentialEngine>());
@@ -328,16 +435,15 @@ TEST(BytecodeCorpus, GammaEnginesStateIdenticalCompileOnOff) {
         gamma::dsl::parse_program(read_file(examples_dir() + c.file));
     for (const auto& engine : engines) {
       for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
-        gamma::RunOptions vm_opts;
-        vm_opts.seed = seed;
-        vm_opts.compile = true;
-        gamma::RunOptions ast_opts = vm_opts;
-        ast_opts.compile = false;
-        const auto vm = engine->run(program, c.initial, vm_opts);
+        gamma::RunOptions batch_opts;
+        batch_opts.seed = seed;
+        gamma::RunOptions ast_opts = batch_opts;
+        ast_opts.batch = false;
+        const auto batch = engine->run(program, c.initial, batch_opts);
         const auto ast = engine->run(program, c.initial, ast_opts);
-        EXPECT_EQ(vm.final_multiset, ast.final_multiset)
+        EXPECT_EQ(batch.final_multiset, ast.final_multiset)
             << c.file << " engine " << engine->name() << " seed " << seed;
-        EXPECT_EQ(vm.steps, ast.steps)
+        EXPECT_EQ(batch.steps, ast.steps)
             << c.file << " engine " << engine->name() << " seed " << seed;
       }
     }
@@ -345,29 +451,26 @@ TEST(BytecodeCorpus, GammaEnginesStateIdenticalCompileOnOff) {
 }
 
 TEST(BytecodeCorpus, DataflowEnginesOutputsIdenticalCompileOnOff) {
+  // The dataflow engines fire every node through fire_node (the walker's
+  // value ops); the batch knob they inherit must change nothing, and the
+  // parallel PEs must agree with the interpreter.
   for (const char* file : {"fig1.src", "fig2_loop.src", "classify.src"}) {
     const dataflow::Graph g =
         frontend::compile_source(read_file(examples_dir() + file));
-    dataflow::DfRunOptions vm_opts;
-    vm_opts.compile = true;
-    dataflow::DfRunOptions ast_opts;
-    ast_opts.compile = false;
-    const auto vm = dataflow::Interpreter().run(g, vm_opts);
-    const auto ast = dataflow::Interpreter().run(g, ast_opts);
-    ASSERT_EQ(vm.outputs.size(), ast.outputs.size()) << file;
-    for (const auto& [name, tokens] : vm.outputs) {
-      EXPECT_EQ(vm.output_values(name), ast.output_values(name))
-          << file << " output " << name;
-    }
-    vm_opts.workers = 3;
-    ast_opts.workers = 3;
-    const auto pvm = dataflow::ParallelEngine().run(g, vm_opts);
-    const auto past = dataflow::ParallelEngine().run(g, ast_opts);
-    for (const auto& [name, tokens] : vm.outputs) {
-      EXPECT_EQ(pvm.output_values(name), ast.output_values(name))
-          << file << " parallel vm output " << name;
-      EXPECT_EQ(past.output_values(name), ast.output_values(name))
-          << file << " parallel ast output " << name;
+    const auto want = dataflow::Interpreter().run(g);
+    for (const bool batch : {true, false}) {
+      dataflow::DfRunOptions opts;
+      opts.batch = batch;
+      const auto seq = dataflow::Interpreter().run(g, opts);
+      opts.workers = 3;
+      const auto par = dataflow::ParallelEngine().run(g, opts);
+      ASSERT_EQ(seq.outputs.size(), want.outputs.size()) << file;
+      for (const auto& [name, tokens] : want.outputs) {
+        EXPECT_EQ(seq.output_values(name), want.output_values(name))
+            << file << " batch=" << batch << " output " << name;
+        EXPECT_EQ(par.output_values(name), want.output_values(name))
+            << file << " batch=" << batch << " parallel output " << name;
+      }
     }
   }
 }
@@ -376,16 +479,15 @@ TEST(BytecodeCorpus, ClusterStateIdenticalCompileOnOff) {
   const gamma::Program program =
       gamma::dsl::parse_program(read_file(examples_dir() + "min.gamma"));
   const gamma::Multiset initial = int_multiset({9, 4, 17, 4, 1, 30, 2, 8});
-  distrib::ClusterOptions vm_opts;
-  vm_opts.nodes = 3;
-  vm_opts.seed = 5;
-  vm_opts.compile = true;
-  distrib::ClusterOptions ast_opts = vm_opts;
-  ast_opts.compile = false;
-  const auto vm = distrib::run_distributed(program, initial, vm_opts);
+  distrib::ClusterOptions batch_opts;
+  batch_opts.nodes = 3;
+  batch_opts.seed = 5;
+  distrib::ClusterOptions ast_opts = batch_opts;
+  ast_opts.batch = false;
+  const auto batch = distrib::run_distributed(program, initial, batch_opts);
   const auto ast = distrib::run_distributed(program, initial, ast_opts);
-  EXPECT_EQ(vm.final_multiset, ast.final_multiset);
-  EXPECT_EQ(vm.fires, ast.fires);
+  EXPECT_EQ(batch.final_multiset, ast.final_multiset);
+  EXPECT_EQ(batch.fires, ast.fires);
 }
 
 TEST(BytecodeCorpus, TranslatedProgramsAgreeAcrossModes) {
@@ -395,36 +497,28 @@ TEST(BytecodeCorpus, TranslatedProgramsAgreeAcrossModes) {
     const dataflow::Graph g =
         frontend::compile_source(read_file(examples_dir() + file));
     const auto conv = translate::dataflow_to_gamma(g);
-    gamma::RunOptions vm_opts;
-    vm_opts.seed = 3;
-    vm_opts.compile = true;
-    gamma::RunOptions ast_opts = vm_opts;
-    ast_opts.compile = false;
-    const auto vm = gamma::IndexedEngine().run(conv.program, conv.initial,
-                                               vm_opts);
+    gamma::RunOptions batch_opts;
+    batch_opts.seed = 3;
+    gamma::RunOptions ast_opts = batch_opts;
+    ast_opts.batch = false;
+    const auto batch = gamma::IndexedEngine().run(conv.program, conv.initial,
+                                                  batch_opts);
     const auto ast = gamma::IndexedEngine().run(conv.program, conv.initial,
                                                 ast_opts);
-    EXPECT_EQ(vm.final_multiset, ast.final_multiset) << file;
+    EXPECT_EQ(batch.final_multiset, ast.final_multiset) << file;
+    EXPECT_EQ(batch.steps, ast.steps) << file;
   }
 }
 
 // ---------------------------------------------------------------------------
 // Batch backend: compile_batch shapes, BatchVm lane semantics, and the
-// batch ≡ scalar differential property over generated conditions.
-
-expr::Chunk compile_scalar(const std::string& text) {
-  return expr::compile(parse(text), kSlots);
-}
-
-/// Slot layout for batch tests: `a` is the vector (per-lane) slot, `b`/`c`
-/// are broadcast scalars, `u` unused.
-constexpr std::array<std::uint8_t, 4> kVecA = {1, 0, 0, 0};
+// batch ≡ walker differential property over generated conditions.
 
 TEST(BatchCompile, FusesLoadsIntoOperands) {
-  // a < b: both loads fold into the comparison's operands, leaving one
+  // a < b: both leaves fuse into the comparison's operands, leaving one
   // compare plus the ret — the superinstruction shape bench_bytecode
-  // measures as loadslot+op fusion.
-  const auto batch = expr::compile_batch(compile_scalar("a < b"), kVecA);
+  // measures.
+  const auto batch = lanes_for("a < b");
   ASSERT_TRUE(batch.has_value());
   EXPECT_EQ(batch->fused_loads, 2u);
   ASSERT_EQ(batch->code.size(), 2u);
@@ -439,11 +533,10 @@ TEST(BatchCompile, FusesLoadsIntoOperands) {
 }
 
 TEST(BatchCompile, LowersShortCircuitToEagerJoins) {
-  // and/or jumps disappear: both sides evaluate eagerly, joined by the
-  // boolean ops. Straight-line code must contain a join and no other
-  // control flow (Ret terminates).
-  const auto batch =
-      expr::compile_batch(compile_scalar("a > 0 and a % 2 == 0"), kVecA);
+  // and/or become eager joins: both sides evaluate, joined by the boolean
+  // ops. Straight-line code must contain a join and no other control flow
+  // (Ret terminates).
+  const auto batch = lanes_for("a > 0 and a % 2 == 0");
   ASSERT_TRUE(batch.has_value());
   bool saw_join = false;
   for (const expr::BatchInstr& in : batch->code) {
@@ -454,50 +547,41 @@ TEST(BatchCompile, LowersShortCircuitToEagerJoins) {
 }
 
 TEST(BatchCompile, RefusesWhatCouldDivergeFromScalar) {
-  // Non-Int constants, literal-zero divisors: lane semantics could diverge
-  // from the walker's error behaviour, so translation refuses and the
-  // pipeline keeps the scalar probe for the reaction.
-  EXPECT_FALSE(expr::compile_batch(compile_scalar("a == 's'"), kVecA));
-  EXPECT_FALSE(expr::compile_batch(compile_scalar("a / 0 > 1"), kVecA));
-  EXPECT_FALSE(expr::compile_batch(compile_scalar("a % 0 == 1"), kVecA));
+  // Non-Int constants, literal-zero divisors, arithmetic/negation/ordering
+  // on Bool lanes: lane semantics could diverge from the walker's error
+  // behaviour, so compilation refuses and the pipeline keeps the scalar
+  // probe for the reaction.
+  EXPECT_FALSE(lanes_for("a == 's'"));
+  EXPECT_FALSE(lanes_for("a < 1.5"));
+  EXPECT_FALSE(lanes_for("a / 0 > 1"));
+  EXPECT_FALSE(lanes_for("a % 0 == 1"));
+  EXPECT_FALSE(lanes_for("(a > 0) + 1 > 0"));
+  EXPECT_FALSE(lanes_for("-(a > 0)"));
+  EXPECT_FALSE(lanes_for("(a > 0) < true"));
   // Nonzero literal divisors and Bool constants stay batchable.
-  EXPECT_TRUE(expr::compile_batch(compile_scalar("a % 3 == 0"), kVecA));
-  EXPECT_TRUE(expr::compile_batch(compile_scalar("a > 0 and true"), kVecA));
+  EXPECT_TRUE(lanes_for("a % 3 == 0"));
+  EXPECT_TRUE(lanes_for("a > 0 and true"));
+  EXPECT_TRUE(lanes_for("not (a > 0) or not a"));
 }
 
 /// Runs `text` over a column bound to slot `a` (b, c broadcast) through the
-/// batch VM and checks every lane against the scalar Vm's verdict.
-void expect_batch_matches_scalar(const std::string& text,
+/// batch VM and checks every lane against the walker's verdict.
+void expect_batch_matches_walker(const std::string& text,
                                  std::span<const std::int64_t> col_a,
                                  std::int64_t b, std::int64_t c) {
-  const expr::Chunk chunk = compile_scalar(text);
-  const auto batch = expr::compile_batch(chunk, kVecA);
-  ASSERT_TRUE(batch.has_value()) << text;
-  std::vector<expr::BatchVm::SlotInput> slots(kSlots.size());
-  slots[0].column = col_a.data();
-  slots[1].scalar = b;
-  slots[2].scalar = c;
-  expr::BatchVm vm;
-  std::vector<std::uint8_t> out;
-  ASSERT_TRUE(vm.run(*batch, slots, col_a.size(), out)) << text;
-  expr::Vm scalar;
-  for (std::size_t i = 0; i < col_a.size(); ++i) {
-    const Value va(col_a[i]);
-    const Value vb(b);
-    const Value vc(c);
-    const Value* ptrs[4] = {&va, &vb, &vc, nullptr};
-    const Value r = scalar.run(chunk, ptrs);
-    EXPECT_EQ(out[i] != 0, r.truthy()) << text << " lane " << i;
-  }
+  const LaneRun r = run_lanes(parse(text), col_a, b, c, 0, text);
+  ASSERT_TRUE(r.compiled) << text;
+  EXPECT_TRUE(r.ran) << text;
 }
 
 TEST(BatchVmTest, LanesAgreeWithScalarVm) {
+  // "Scalar" is the walker: the only scalar evaluator.
   const std::vector<std::int64_t> col = {-3, -1, 0, 1, 2, 5, 8, 1 << 20};
   for (const char* text :
        {"a < b", "a <= b and a > c", "a == b or a == c", "a % 3 == 0",
         "a * 2 + c > b", "-a < b", "not (a > b)", "a / 2 >= c",
         "a > 0 and (a < b or a == c)"}) {
-    expect_batch_matches_scalar(text, col, 4, -1);
+    expect_batch_matches_walker(text, col, 4, -1);
   }
 }
 
@@ -507,17 +591,30 @@ TEST(BatchVmTest, HugeIntsKeepTheDoubleComparisonQuirks) {
   // The batch bitmap must reproduce that bit-for-bit, not fix it.
   const std::int64_t big = (std::int64_t{1} << 60) + 1;
   const std::vector<std::int64_t> col = {big, big - 1, big + 1, 0};
-  expect_batch_matches_scalar("a == b", col, big, 0);
-  expect_batch_matches_scalar("a < b", col, big, 0);
-  expect_batch_matches_scalar("a >= b", col, big, 0);
+  expect_batch_matches_walker("a == b", col, big, 0);
+  expect_batch_matches_walker("a < b", col, big, 0);
+  expect_batch_matches_walker("a >= b", col, big, 0);
+}
+
+TEST(BatchVmTest, OverflowWrapsExactlyLikeTheWalker) {
+  // Int lanes and the walker share value.hpp's wrapping ops: overflowing
+  // lanes agree bit for bit, and INT64_MIN / -1 neither traps nor diverges.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const std::vector<std::int64_t> col = {kMax, kMin, kMax - 1, -1, 3};
+  for (const char* text : {"a + b > 0", "a - b < 0", "a * b > 0", "-a > 0",
+                           "a / b < 0", "a % b == 0", "a * a * a > c"}) {
+    expect_batch_matches_walker(text, col, -1, 7);
+    expect_batch_matches_walker(text, col, 2, kMin);
+  }
 }
 
 TEST(BatchVmTest, RuntimeZeroDivisorAbortsTheBatch) {
-  // b is zero at runtime (not a literal), so translation succeeds — but a
+  // b is zero at runtime (not a literal), so compilation succeeds — but a
   // faulting lane means the bitmap cannot be trusted, and run() refuses so
   // the caller re-probes the whole batch through the scalar path (which
   // throws exactly where the walker would).
-  const auto batch = expr::compile_batch(compile_scalar("a / b > 0"), kVecA);
+  const auto batch = lanes_for("a / b > 0");
   ASSERT_TRUE(batch.has_value());
   const std::vector<std::int64_t> col = {1, 2, 3};
   std::vector<expr::BatchVm::SlotInput> slots(kSlots.size());
@@ -528,7 +625,7 @@ TEST(BatchVmTest, RuntimeZeroDivisorAbortsTheBatch) {
   EXPECT_FALSE(vm.run(*batch, slots, col.size(), out));
 
   // Per-lane divisors: ANY zero lane aborts, even if others are fine.
-  const auto by_a = expr::compile_batch(compile_scalar("b / a > 0"), kVecA);
+  const auto by_a = lanes_for("b / a > 0");
   ASSERT_TRUE(by_a.has_value());
   const std::vector<std::int64_t> divisors = {1, 0, 3};
   slots[0].column = divisors.data();
@@ -541,7 +638,7 @@ TEST(BatchVmTest, RuntimeZeroDivisorAbortsTheBatch) {
 }
 
 TEST(BatchVmTest, CountersAdvancePerEvalAndLane) {
-  const auto batch = expr::compile_batch(compile_scalar("a > 0"), kVecA);
+  const auto batch = lanes_for("a > 0");
   ASSERT_TRUE(batch.has_value());
   const std::vector<std::int64_t> col = {1, -2, 3, 4, -5};
   std::vector<expr::BatchVm::SlotInput> slots(kSlots.size());
@@ -560,10 +657,10 @@ TEST(BatchVmTest, CountersAdvancePerEvalAndLane) {
 }
 
 /// Random int-only conditions over one vector and two scalar slots; every
-/// batchable one must agree with the scalar Vm on every lane. Conditions
-/// with runtime division are exercised too: if run() succeeds, no lane
-/// faulted and the lanes must agree; if it aborts, the scalar run on some
-/// lane must actually throw.
+/// batchable one must agree with the walker on every lane. Conditions with
+/// runtime division are exercised too: if run() succeeds, no lane faulted
+/// and the lanes must agree; if it aborts, the walker on some lane must
+/// actually throw.
 ExprPtr random_batch_expr(Rng& rng, int depth) {
   if (depth == 0 || rng.coin(0.3)) {
     switch (rng.bounded(6)) {
@@ -592,46 +689,22 @@ ExprPtr random_batch_expr(Rng& rng, int depth) {
 class BatchDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BatchDifferential, BitmapMatchesScalarVm) {
-  // 10 trials per seed x 50 seeds = 500 generated conditions.
+  // 10 trials per seed x 50 seeds = 500 generated conditions, checked
+  // against the walker (the scalar evaluator).
   for (std::uint64_t trial = 0; trial < 10; ++trial) {
     Rng rng(GetParam() * 1000 + trial);
     const ExprPtr e = random_batch_expr(rng, 4);
-    const expr::Chunk chunk = expr::compile(e, kSlots);
-    const auto batch = expr::compile_batch(chunk, kVecA);
-    if (!batch.has_value()) continue;  // not batchable: scalar path serves it
-
     std::vector<std::int64_t> col(17);
     for (auto& v : col) v = static_cast<std::int64_t>(rng.bounded(9)) - 3;
-    const Value vb(static_cast<std::int64_t>(rng.bounded(9)) - 3);
-    const Value vc(static_cast<std::int64_t>(rng.bounded(9)) - 3);
-    std::vector<expr::BatchVm::SlotInput> slots(kSlots.size());
-    slots[0].column = col.data();
-    slots[1].scalar = vb.as_int();
-    slots[2].scalar = vc.as_int();
-
-    expr::BatchVm bvm;
-    std::vector<std::uint8_t> out;
-    const bool ok = bvm.run(*batch, slots, col.size(), out);
-    expr::Vm scalar;
-    bool any_fault = false;
-    for (std::size_t i = 0; i < col.size(); ++i) {
-      const Value va(col[i]);
-      const Value* ptrs[4] = {&va, &vb, &vc, nullptr};
-      const Observed o = observe([&] { return scalar.run(chunk, ptrs); });
-      if (!o.ok) {
-        any_fault = true;
-        continue;
-      }
-      if (ok) {
-        EXPECT_EQ(out[i] != 0, o.value.truthy())
-            << "seed " << GetParam() << " trial " << trial << " lane " << i
-            << ": " << e->to_string();
-      }
-    }
-    if (!ok) {
-      EXPECT_TRUE(any_fault)
-          << "seed " << GetParam() << " trial " << trial
-          << ": batch aborted but no lane faults: " << e->to_string();
+    const auto b = static_cast<std::int64_t>(rng.bounded(9)) - 3;
+    const auto c = static_cast<std::int64_t>(rng.bounded(9)) - 3;
+    const std::string context = "seed " + std::to_string(GetParam()) +
+                                " trial " + std::to_string(trial) + ": " +
+                                e->to_string();
+    const LaneRun r = run_lanes(e, col, b, c, 0, context);
+    if (r.compiled && !r.ran) {
+      EXPECT_TRUE(r.walker_faulted)
+          << context << ": batch aborted but no lane faults";
     }
   }
 }
@@ -640,20 +713,18 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BatchDifferential,
                          ::testing::Range(std::uint64_t{1}, std::uint64_t{51}));
 
 // ---------------------------------------------------------------------------
-// Engine-level: batch ≡ scalar ≡ AST on generated programs (the modes share
-// one rng schedule, so states AND step counts must be byte-identical).
+// Engine-level: batch ≡ walker on generated programs (the modes share one
+// rng schedule, so states AND step counts must be byte-identical).
 
-TEST(BatchCorpus, GammaEnginesStateIdenticalAcrossAllThreeModes) {
+TEST(BatchCorpus, GammaEnginesStateIdenticalAcrossBothModes) {
   for (const GammaCase& c : gamma_corpus()) {
     const gamma::Program program =
         gamma::dsl::parse_program(read_file(examples_dir() + c.file));
     for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
       gamma::RunOptions batch_opts;
       batch_opts.seed = seed;
-      gamma::RunOptions vm_opts = batch_opts;
-      vm_opts.batch = false;
-      gamma::RunOptions ast_opts = vm_opts;
-      ast_opts.compile = false;
+      gamma::RunOptions ast_opts = batch_opts;
+      ast_opts.batch = false;
       for (const auto make : {+[]() -> std::unique_ptr<gamma::Engine> {
                                 return std::make_unique<gamma::SequentialEngine>();
                               },
@@ -662,13 +733,10 @@ TEST(BatchCorpus, GammaEnginesStateIdenticalAcrossAllThreeModes) {
                               }}) {
         const auto engine = make();
         const auto batch = engine->run(program, c.initial, batch_opts);
-        const auto vm = engine->run(program, c.initial, vm_opts);
         const auto ast = engine->run(program, c.initial, ast_opts);
-        EXPECT_EQ(batch.final_multiset, vm.final_multiset)
+        EXPECT_EQ(batch.final_multiset, ast.final_multiset)
             << c.file << " " << engine->name() << " seed " << seed;
-        EXPECT_EQ(batch.steps, vm.steps)
-            << c.file << " " << engine->name() << " seed " << seed;
-        EXPECT_EQ(vm.final_multiset, ast.final_multiset)
+        EXPECT_EQ(batch.steps, ast.steps)
             << c.file << " " << engine->name() << " seed " << seed;
       }
     }
@@ -677,7 +745,7 @@ TEST(BatchCorpus, GammaEnginesStateIdenticalAcrossAllThreeModes) {
 
 /// Random guard over x and y rendered back to DSL text. Division and modulo
 /// are included on purpose: a guard that faults must fault identically
-/// (same error text) in all three modes.
+/// (same error text) in both modes.
 std::string random_guard(Rng& rng, int depth) {
   if (depth == 0 || rng.coin(0.35)) {
     switch (rng.bounded(5)) {
@@ -693,42 +761,12 @@ std::string random_guard(Rng& rng, int depth) {
          " " + random_guard(rng, depth - 1) + ")";
 }
 
-struct EngineRun {
-  bool ok = false;
-  gamma::Multiset state;
-  std::uint64_t steps = 0;
-  std::string error;
-
-  friend bool operator==(const EngineRun& x, const EngineRun& y) {
-    return x.ok == y.ok &&
-           (x.ok ? (x.state == y.state && x.steps == y.steps)
-                 : x.error == y.error);
-  }
-};
-
-EngineRun run_mode(gamma::Engine& engine, const gamma::Program& p,
-                   const gamma::Multiset& init,
-                   const gamma::RunOptions& opts) {
-  EngineRun r;
-  try {
-    auto result = engine.run(p, init, opts);
-    r.state = std::move(result.final_multiset);
-    r.steps = result.steps;
-    r.ok = true;
-  } catch (const TypeError& ex) {
-    r.error = std::string("TypeError: ") + ex.what();
-  } catch (const ProgramError& ex) {
-    r.error = std::string("ProgramError: ") + ex.what();
-  }
-  return r;
-}
-
 class BatchEngineDifferential
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BatchEngineDifferential, GeneratedProgramsAgreeAcrossModes) {
   // 10 generated (program, multiset) pairs per seed x 50 seeds = 500 cases,
-  // each run through the two deterministic engines in all three modes.
+  // each run through the two deterministic engines in both modes.
   // Templates rotate so literal field checks, label keys, repeated binders
   // (EqField), and outer-bound binders (EqSlot) all get exercised.
   static constexpr const char* kTemplates[] = {
@@ -773,22 +811,17 @@ TEST_P(BatchEngineDifferential, GeneratedProgramsAgreeAcrossModes) {
     }
     gamma::RunOptions batch_opts;
     batch_opts.seed = GetParam();
-    gamma::RunOptions vm_opts = batch_opts;
-    vm_opts.batch = false;
-    gamma::RunOptions ast_opts = vm_opts;
-    ast_opts.compile = false;
+    gamma::RunOptions ast_opts = batch_opts;
+    ast_opts.batch = false;
 
     gamma::SequentialEngine seq;
     gamma::IndexedEngine idx;
     for (gamma::Engine* engine :
          std::initializer_list<gamma::Engine*>{&seq, &idx}) {
       const EngineRun batch = run_mode(*engine, p, init, batch_opts);
-      const EngineRun vm = run_mode(*engine, p, init, vm_opts);
       const EngineRun ast = run_mode(*engine, p, init, ast_opts);
-      EXPECT_EQ(batch, vm) << engine->name() << " seed " << GetParam()
-                           << " trial " << trial << ": " << src;
-      EXPECT_EQ(vm, ast) << engine->name() << " seed " << GetParam()
-                         << " trial " << trial << ": " << src;
+      EXPECT_EQ(batch, ast) << engine->name() << " seed " << GetParam()
+                            << " trial " << trial << ": " << src;
     }
   }
 }
@@ -817,12 +850,44 @@ TEST(BatchCorpus, CompiledReactionExposesItsBatchPlan) {
   EXPECT_EQ(s.compiled().batch_plan(), nullptr);
 }
 
+TEST(BatchCorpus, ExampleReactionsAllGetABatchPlan) {
+  // The programs the end-to-end benchmark runs: every reaction of the sieve,
+  // min and the Algorithm 1 translation of Fig. 2 takes the batch path —
+  // except the three inctag merges, whose guards compare Str labels
+  // (`x == 'e0' or x == 'e13'`) and so stay on the walker by design.
+  std::vector<gamma::Program> programs;
+  for (const char* file : {"sieve.gamma", "min.gamma"}) {
+    programs.push_back(
+        gamma::dsl::parse_program(read_file(examples_dir() + file)));
+  }
+  programs.push_back(translate::dataflow_to_gamma(
+                         frontend::compile_source(
+                             read_file(examples_dir() + "fig2_loop.src")))
+                         .program);
+  std::size_t planned = 0;
+  std::set<std::string> scalar_only;
+  for (const gamma::Program& p : programs) {
+    for (const auto& stage : p.stages()) {
+      for (const gamma::Reaction& r : stage) {
+        if (r.compiled().batch_plan() != nullptr) {
+          ++planned;
+        } else {
+          scalar_only.insert(r.name());
+        }
+      }
+    }
+  }
+  EXPECT_EQ(scalar_only, (std::set<std::string>{"loop7_inc_i", "loop7_inc_x",
+                                                "loop7_inc_y"}));
+  EXPECT_GE(planned, 2u + 6u);  // Rsieve, Rmin, and the Fig. 2 reactions
+}
+
 TEST(BytecodeCorpus, CompiledReactionReportsFootprint) {
   const gamma::Reaction r = gamma::dsl::parse_reaction(
       "Rmin = replace x, y by x where x < y");
   const gamma::CompiledReaction& cr = r.compiled();
   EXPECT_EQ(cr.slots(), (std::vector<std::string>{"x", "y"}));
-  EXPECT_GT(cr.instr_count(), 0u);
+  ASSERT_NE(cr.batch_plan(), nullptr);
   EXPECT_GE(cr.compile_ms(), 0.0);
 }
 

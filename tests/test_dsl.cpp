@@ -191,5 +191,18 @@ TEST(Dsl, PaperListingsRoundTrip) {
   }
 }
 
+TEST(Dsl, HostileNestingInProgramTextIsAParseError) {
+  // What `rungamma` reads from a .gamma file: a condition or an element
+  // nested 300k deep fails to parse instead of overflowing the stack.
+  const std::string deep = std::string(300'000, '(') + "x" +
+                           std::string(300'000, ')');
+  EXPECT_THROW((void)parse_program("R = replace x, y by x where " + deep),
+               ParseError);
+  EXPECT_THROW((void)parse_program("R = replace x, y by " + deep),
+               ParseError);
+  EXPECT_THROW((void)parse_elements("[" + std::string(300'000, '-') + "1]"),
+               ParseError);
+}
+
 }  // namespace
 }  // namespace gammaflow::gamma::dsl

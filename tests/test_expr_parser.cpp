@@ -198,5 +198,49 @@ TEST_P(ExprRoundTrip, PrintParseIdentity) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ExprRoundTrip,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
+// Nesting limits: every tree walk recurses once per level, so client text
+// deeper than kMaxExprDepth must be a ParseError, never a stack overflow.
+
+std::string nested_parens(std::size_t depth) {
+  return std::string(depth, '(') + "x" + std::string(depth, ')');
+}
+
+std::string sum_chain(std::size_t ops) {
+  std::string s = "1";
+  for (std::size_t i = 0; i < ops; ++i) s += " + 1";
+  return s;
+}
+
+TEST(ParserLimits, HostileNestingIsAParseErrorNotACrash) {
+  constexpr std::size_t kHostile = 300'000;
+  EXPECT_THROW((void)parse_expression(nested_parens(kHostile)), ParseError);
+  EXPECT_THROW((void)parse_expression(std::string(kHostile, '-') + "1"),
+               ParseError);
+  std::string nots;
+  for (std::size_t i = 0; i < kHostile; ++i) nots += "not ";
+  EXPECT_THROW((void)parse_expression(nots + "x"), ParseError);
+  // A flat chain nests too: `1 + 1 + ...` is a left spine of depth n.
+  EXPECT_THROW((void)parse_expression(sum_chain(kHostile)), ParseError);
+}
+
+TEST(ParserLimits, DepthUpToTheLimitStillParses) {
+  const ExprPtr parens = parse_expression(nested_parens(kMaxExprDepth));
+  EXPECT_EQ(parens->kind(), Expr::Kind::Var);
+  EXPECT_THROW((void)parse_expression(nested_parens(kMaxExprDepth + 1)),
+               ParseError);
+
+  const ExprPtr chain = parse_expression(sum_chain(kMaxExprDepth - 1));
+  EXPECT_EQ(chain->depth(), kMaxExprDepth);
+  EXPECT_THROW((void)parse_expression(sum_chain(kMaxExprDepth)), ParseError);
+
+  try {
+    (void)parse_expression(sum_chain(kMaxExprDepth));
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("nests deeper than 1000"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace gammaflow::expr

@@ -364,5 +364,22 @@ TEST(FrontendIntegration, LoopProgramRoundTripsThroughReconstruction) {
   EXPECT_EQ(dataflow::Interpreter().run(back).single_output("x"), Value(120));
 }
 
+TEST(FrontendParse, HostileBlockNestingIsAParseErrorNotACrash) {
+  const auto nested_ifs = [](std::size_t depth) {
+    std::string src = "int x = 1;\n";
+    for (std::size_t i = 0; i < depth; ++i) src += "if (x > 0) { ";
+    src += "x = 2;";
+    for (std::size_t i = 0; i < depth; ++i) src += " }";
+    return src + "\noutput x;\n";
+  };
+  EXPECT_THROW((void)parse_source(nested_ifs(300'000)), ParseError);
+  EXPECT_THROW((void)parse_source(nested_ifs(kMaxBlockDepth + 1)),
+               ParseError);
+  // Up to the limit the program parses and compiles.
+  const ProgramAst ast = parse_source(nested_ifs(kMaxBlockDepth));
+  EXPECT_EQ(ast.statements.size(), 3u);
+  EXPECT_NO_THROW((void)compile_source(nested_ifs(kMaxBlockDepth)));
+}
+
 }  // namespace
 }  // namespace gammaflow::frontend

@@ -133,7 +133,7 @@ constexpr const char* kSieve =
 TEST(MatchMemo, SieveIsStepIdenticalToAMemoColdTwin) {
   const gamma::Program p = gamma::dsl::parse_program(kSieve);
   for (const expr::EvalMode mode :
-       {expr::EvalMode::Batch, expr::EvalMode::Vm}) {
+       {expr::EvalMode::Batch, expr::EvalMode::Scalar}) {
     TwinRun run;
     const std::uint64_t skips = skips_during([&] {
       run = run_with_twin(p, ints(2, 400), 7, mode, ~std::uint64_t{0},
@@ -222,7 +222,7 @@ TEST_P(MatchMemoCorpus, GeneratedProgramsAreStepIdenticalToAMemoColdTwin) {
       }
     }
     const expr::EvalMode mode = trial % 2 == 0 ? expr::EvalMode::Batch
-                                               : expr::EvalMode::Vm;
+                                               : expr::EvalMode::Scalar;
     (void)run_with_twin(p, init, GetParam() + trial, mode, 48,
                         "seed " + std::to_string(GetParam()) + " trial " +
                             std::to_string(trial) + ": " + src);
@@ -288,7 +288,7 @@ TEST(MatchMemo, SuffixScanKeepsTheCyclicOrderOfTheFullScan) {
       "R = replace x, y by [x] where y - x > 500");
   for (const std::int64_t newer : {30, 80}) {
     for (const expr::EvalMode mode :
-         {expr::EvalMode::Batch, expr::EvalMode::Vm}) {
+         {expr::EvalMode::Batch, expr::EvalMode::Scalar}) {
       for (std::uint64_t seed = 1; seed <= 16; ++seed) {
         Store live(ints(1, 70));
         EXPECT_FALSE(MatchPipeline::find(live, r, nullptr, mode));
@@ -334,7 +334,7 @@ TEST(MatchMemo, ThrowingConditionSurfacesAtTheSameStepWithTheSameText) {
       "R = replace x, y by [x] "
       "where (y % x == 0) and (x > 1) and (y % (x - 7) == 0)");
   for (const expr::EvalMode mode :
-       {expr::EvalMode::Batch, expr::EvalMode::Vm}) {
+       {expr::EvalMode::Batch, expr::EvalMode::Scalar}) {
     const TwinRun run = run_with_twin(p, ints(2, 120), 11, mode,
                                       ~std::uint64_t{0}, "throwing");
     ASSERT_FALSE(::testing::Test::HasFailure());

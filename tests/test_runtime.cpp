@@ -257,13 +257,13 @@ TEST(MatchPipelineTest, ConstFindValidateCommitRoundTrip) {
   const gamma::Store& cstore = store;
   auto match = MatchPipeline::find(cstore, r);
   ASSERT_TRUE(match.has_value());
-  EXPECT_TRUE(MatchPipeline::validate(store, *match, expr::EvalMode::Ast));
+  EXPECT_TRUE(MatchPipeline::validate(store, *match));
   MatchPipeline::commit(store, *match);
   EXPECT_EQ(store.size(), 2u);
 
   // The committed ids are dead: the stale proposal must now fail validation.
   auto stale = *match;
-  EXPECT_FALSE(MatchPipeline::validate(store, stale, expr::EvalMode::Ast));
+  EXPECT_FALSE(MatchPipeline::validate(store, stale));
 }
 
 TEST(MatchPipelineTest, ExhaustedSearchIsAFixedPointProof) {
@@ -332,11 +332,10 @@ TEST(CrossEngine, CorpusIsStateIdenticalAcrossEveryEngine) {
 
 TEST(CrossEngine, BatchMatchingIsUnobservableAcrossEveryEngine) {
   // The batch escape hatch must change nothing an engine returns: the same
-  // corpus under columnar batch matching, `--no-batch` (scalar VM), and
-  // `--no-compile` (AST walker) on every Gamma engine and the cluster.
+  // corpus under columnar batch matching and `--no-batch` (AST walker) on
+  // every Gamma engine and the cluster.
   struct Mode {
     const char* name;
-    bool compile;
     bool batch;
   };
   for (const CorpusCase& c : corpus()) {
@@ -345,11 +344,8 @@ TEST(CrossEngine, BatchMatchingIsUnobservableAcrossEveryEngine) {
     const Multiset oracle =
         gamma::SequentialEngine().run(p, c.initial).final_multiset;
 
-    for (const Mode m : {Mode{"batch", true, true},
-                         Mode{"no-batch", true, false},
-                         Mode{"ast", false, false}}) {
+    for (const Mode m : {Mode{"batch", true}, Mode{"no-batch", false}}) {
       gamma::RunOptions go;
-      go.compile = m.compile;
       go.batch = m.batch;
       EXPECT_EQ(gamma::SequentialEngine().run(p, c.initial, go).final_multiset,
                 oracle)
@@ -365,7 +361,6 @@ TEST(CrossEngine, BatchMatchingIsUnobservableAcrossEveryEngine) {
           << c.name << ": parallel " << m.name;
       distrib::ClusterOptions copts;
       copts.nodes = 4;
-      copts.compile = m.compile;
       copts.batch = m.batch;
       copts.label_affinity = report.label_affinity();
       EXPECT_EQ(distrib::run_distributed(p, c.initial, copts).final_multiset,

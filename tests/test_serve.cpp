@@ -358,6 +358,34 @@ TEST(ServeProtocol, BadProgramAndBadElements) {
             "bad_program");
 }
 
+TEST(ServeProtocol, HostileNestingGetsAnErrorReplyAndServingContinues) {
+  serve::Server server(min_daemon());
+  // 300k `[` on one line: the JSON parser stops at kMaxJsonDepth.
+  const serve::Json deep_json =
+      call(server, std::string(300'000, '['));
+  EXPECT_EQ(error_code(deep_json), "bad_request");
+  EXPECT_NE(deep_json.str_or("message", "").find("nests deeper than"),
+            std::string::npos);
+  // A create whose program nests 300k parentheses: the expression parser
+  // stops at kMaxExprDepth.
+  const std::string deep_program =
+      "R = replace x, y by x where " + std::string(300'000, '(') + "x" +
+      std::string(300'000, ')') + " < y";
+  EXPECT_EQ(error_code(call(server, R"({"verb":"create","program":")" +
+                                        deep_program + R"("})")),
+            "bad_program");
+  // Nesting up to the limit is still a well-formed request.
+  std::string nested = R"({"verb":"ping","pad":)";
+  nested += std::string(serve::kMaxJsonDepth - 1, '[');
+  nested += std::string(serve::kMaxJsonDepth - 1, ']');
+  nested += "}";
+  EXPECT_TRUE(call(server, nested).bool_or("ok", false));
+  // And the daemon keeps serving.
+  const serve::Json created = call(server, R"({"verb":"create","session":"s"})");
+  EXPECT_TRUE(created.bool_or("ok", false));
+  EXPECT_TRUE(call(server, R"({"verb":"ping"})").bool_or("pong", false));
+}
+
 TEST(ServeProtocol, SessionLimitIsEnforced) {
   serve::ServeOptions opts = min_daemon();
   opts.max_sessions = 2;

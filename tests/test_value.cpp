@@ -2,6 +2,7 @@
 // comparisons, truthiness, printing, hashing.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <unordered_set>
 
 #include "gammaflow/common/value.hpp"
@@ -174,6 +175,18 @@ TEST(Value, KindNames) {
   EXPECT_STREQ(to_string(ValueKind::Bool), "bool");
   EXPECT_STREQ(to_string(ValueKind::Str), "str");
   EXPECT_STREQ(to_string(ValueKind::Nil), "nil");
+}
+
+TEST(Value, IntArithmeticWrapsInsteadOfOverflowing) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  EXPECT_EQ(add(Value(kMax), Value(1)), Value(kMin));
+  EXPECT_EQ(sub(Value(kMin), Value(1)), Value(kMax));
+  EXPECT_EQ(mul(Value(kMax), Value(2)), Value(std::int64_t{-2}));
+  EXPECT_EQ(neg(Value(kMin)), Value(kMin));
+  // The one int division that traps in hardware: defined, not a crash.
+  EXPECT_EQ(div(Value(kMin), Value(std::int64_t{-1})), Value(kMin));
+  EXPECT_EQ(mod(Value(kMin), Value(std::int64_t{-1})), Value(std::int64_t{0}));
 }
 
 // Parameterized sweep: arithmetic identities hold across a range of ints.

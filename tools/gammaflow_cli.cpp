@@ -96,16 +96,11 @@ void print_usage(std::ostream& out) {
       "         --deadline S           wall-clock budget in seconds (run,\n"
       "                                rungamma, distrib); prints the\n"
       "                                partial state\n"
-      "         --no-compile           run, rungamma, distrib: evaluate\n"
-      "                                conditions/actions with the AST walker\n"
-      "                                instead of compiled bytecode (results\n"
-      "                                are identical; this is the slow path)\n"
-      "         --no-batch             run, rungamma, distrib, serve: match\n"
+      "         --no-batch             rungamma, distrib, serve: match\n"
       "                                candidates one at a time with the\n"
-      "                                scalar VM instead of the columnar\n"
+      "                                AST walker instead of the columnar\n"
       "                                batch evaluator (results are\n"
-      "                                identical; A/B baseline — ignored\n"
-      "                                under --no-compile)\n"
+      "                                identical; the A/B baseline)\n"
       "         --no-shard             rungamma --engine par: force the\n"
       "                                optimistic single-store path even when\n"
       "                                conflict classes admit a sharded store\n"
@@ -244,13 +239,9 @@ struct Options {
   std::size_t max_steps = 0;  // optimize: fusion step cap (0 = fixpoint)
   bool classes = false;   // rungamma: feed conflict classes to the engine
   bool affinity = false;  // distrib: label-affinity placement hint
-  /// Bytecode escape hatch (--no-compile): evaluate conditions/actions with
-  /// the AST walker instead of the register VM. Results are identical.
-  bool compile = true;
-  /// Batch escape hatch (--no-batch): keep compiled bytecode but match
-  /// candidates one at a time with the scalar VM instead of the columnar
-  /// batch evaluator. Results are identical; this is the A/B baseline the
-  /// benches compare against. Ignored under --no-compile.
+  /// Batch escape hatch (--no-batch): match candidates one at a time with
+  /// the AST walker instead of the columnar batch evaluator. Results are
+  /// identical; this is the A/B baseline the benches compare against.
   bool batch = true;
   /// Sharding escape hatch (--no-shard): keep the parallel Gamma engine on
   /// the optimistic single-store path even when --classes admits sharding.
@@ -371,8 +362,6 @@ Options parse_options(int argc, char** argv, int first) {
       opts.classes = true;
     } else if (arg == "--affinity") {
       opts.affinity = true;
-    } else if (arg == "--no-compile") {
-      opts.compile = false;
     } else if (arg == "--no-batch") {
       opts.batch = false;
     } else if (arg == "--no-shard") {
@@ -513,8 +502,6 @@ int cmd_run(const std::string& path, const Options& opts) {
   obs::Telemetry tel;
   obs::RunRecorder rec;
   dataflow::DfRunOptions ropts;
-  ropts.compile = opts.compile;
-  ropts.batch = opts.batch;
   if (opts.trace_out || opts.metrics) ropts.telemetry = &tel;
   if (opts.record_out) ropts.record = &rec;
   if (opts.workers) ropts.workers = *opts.workers;
@@ -574,7 +561,6 @@ int run_worklist(const gamma::Program& program, const gamma::Multiset& initial,
                  const Options& opts) {
   runtime::WorklistOptions wopts;
   wopts.seed = opts.seed;
-  wopts.compile = opts.compile;
   wopts.batch = opts.batch;
   wopts.rescan = opts.rescan;
   obs::RunRecorder rec;
@@ -617,7 +603,6 @@ int cmd_rungamma(const std::string& path, const Options& opts) {
   }
   gamma::RunOptions ropts;
   ropts.seed = opts.seed;
-  ropts.compile = opts.compile;
   ropts.batch = opts.batch;
   ropts.shard = opts.shard;
   if (opts.workers) ropts.workers = *opts.workers;
@@ -672,7 +657,6 @@ int cmd_distrib(const std::string& path, const Options& opts) {
   copts.latency = opts.latency;
   copts.fires_per_round = opts.fires_per_round;
   copts.faults = opts.faults;
-  copts.compile = opts.compile;
   copts.batch = opts.batch;
   copts.replication_factor = opts.replication;
   copts.checkpoint_every = opts.checkpoint_every;
@@ -750,7 +734,6 @@ int cmd_serve(const std::string& path, const Options& opts) {
   sopts.deadline = opts.deadline;
   if (opts.max_steps > 0) sopts.max_steps = opts.max_steps;
   sopts.seed = opts.seed;
-  sopts.compile = opts.compile;
   sopts.batch = opts.batch;
   sopts.rescan = opts.rescan;
   if (opts.record_out) sopts.record_out = *opts.record_out;
@@ -1007,7 +990,6 @@ int cmd_viz(const std::string& path, const Options& opts) {
     obs::RunRecorder rec;
     gamma::RunOptions ropts;
     ropts.seed = opts.seed;
-    ropts.compile = opts.compile;
     ropts.batch = opts.batch;
     ropts.record = &rec;
     (void)make_engine(opts.engine)->run(*program, parse_elements(*opts.init),
@@ -1017,8 +999,6 @@ int cmd_viz(const std::string& path, const Options& opts) {
   } else if (!is_gamma) {
     obs::RunRecorder rec;
     dataflow::DfRunOptions ropts;
-    ropts.compile = opts.compile;
-    ropts.batch = opts.batch;
     ropts.record = &rec;
     if (opts.engine == "par") {
       (void)dataflow::ParallelEngine().run(*graph, ropts, {});
