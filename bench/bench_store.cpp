@@ -13,11 +13,13 @@
 //     results stay identical, only the speedup fades).
 // Timed benchmarks: MatchPipeline::find on growing stores (hit and miss
 // probes, each swept over the ast/batch evaluators — the E18 dense-match
-// ablation), find+commit fixpoints, and the sharded vs global-lock engine
-// run.
+// ablation), find+commit fixpoints, index upkeep under Algorithm 1's
+// distinct-value churn (E20), and the sharded vs global-lock engine run.
 #include <chrono>
 #include <cstdlib>
+#include <deque>
 #include <sstream>
+#include <utility>
 
 #include "bench_util.hpp"
 #include "gammaflow/analysis/interference.hpp"
@@ -295,6 +297,59 @@ void BM_StoreFindCommit_Fixpoint(benchmark::State& state) {
 BENCHMARK(BM_StoreFindCommit_Fixpoint)
     ->ArgsProduct({benchmark::CreateRange(16, 1024, 4), {0, 1}})
     ->ArgNames({"n", "mode"})
+    ->Unit(benchmark::kMicrosecond);
+
+// --- index upkeep under Algorithm 1 churn ---------------------------------
+
+/// Slides a window of 8 live [i,'x',i] elements over `n` ever-fresh values
+/// (one insert and one remove per value), the shape Algorithm 1 gives the
+/// Fig. 2 loop's store: every firing mints a new value and tag. With
+/// `oracle`, mirrors every mutation into it.
+gamma::Store churn_distinct(std::int64_t n, gamma::Multiset* oracle) {
+  gamma::Store store;
+  std::deque<std::pair<gamma::Store::Id, std::int64_t>> window;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const gamma::Element e = gamma::Element::tagged(Value(i), "x", i);
+    window.emplace_back(store.insert(e), i);
+    if (oracle != nullptr) oracle->add(e);
+    if (window.size() > 8) {
+      const auto [id, v] = window.front();
+      store.remove(id);
+      if (oracle != nullptr) {
+        oracle->remove_one(gamma::Element::tagged(Value(v), "x", v));
+      }
+      window.pop_front();
+    }
+  }
+  return store;
+}
+
+/// Per-value cost of that churn. Compaction erases the index buckets it
+/// empties, so the cost per value stays flat as `n` (values ever
+/// inserted) grows and `index_keys` stays O(live); keeping empty buckets
+/// made every compaction walk one bucket per value ever seen. The final
+/// store is checked against a Multiset oracle (DIVERGED on mismatch).
+void BM_StoreChurn_DistinctValues(benchmark::State& state) {
+  const std::int64_t n = state.range(0);
+  for (auto _ : state) {
+    const gamma::Store store = churn_distinct(n, nullptr);
+    benchmark::DoNotOptimize(store.size());
+  }
+  gamma::Multiset oracle;
+  const gamma::Store store = churn_distinct(n, &oracle);
+  if (store.to_multiset() != oracle) {
+    std::cout << "DIVERGED: churned store differs from its Multiset oracle "
+                 "at n="
+              << n << '\n';
+    state.SkipWithError("churned store differs from its Multiset oracle");
+  }
+  state.counters["index_keys"] = static_cast<double>(store.index_buckets());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
+}
+BENCHMARK(BM_StoreChurn_DistinctValues)
+    ->Arg(1 << 12)
+    ->Arg(1 << 16)
+    ->ArgNames({"n"})
     ->Unit(benchmark::kMicrosecond);
 
 // --- engine-level: sharded vs global lock, shard-count sweep ---------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <utility>
 
 namespace gammaflow::gamma {
@@ -170,6 +171,14 @@ const Store::Bucket* Store::bucket(const Pattern& p) const {
   return it == arity_index_.end() ? nullptr : &it->second;
 }
 
+std::size_t Store::count_field(std::size_t field, const Value& value) const {
+  const auto it = field_index_.find(FieldKey{field, value});
+  if (it == field_index_.end()) return 0;
+  return static_cast<std::size_t>(std::count_if(
+      it->second.entries.begin(), it->second.entries.end(),
+      [this](Entry e) { return live(e); }));
+}
+
 std::vector<Store::Refutation>& Store::refutations(std::uint64_t key) {
   std::vector<Refutation>& memo = refutations_[key];
   if (memo.size() < locs_.size()) memo.resize(locs_.size());
@@ -237,8 +246,18 @@ void Store::compact_columns() {
 }
 
 void Store::compact() {
-  for (auto& [key, bucket] : field_index_) prune(bucket);
-  for (auto& [arity, bucket] : arity_index_) prune(bucket);
+  // Erase the buckets pruning empties: Algorithm 1 mints a fresh value and
+  // tag per firing, so a kept empty bucket per value would grow the index
+  // with history, not with live elements, and every compaction would walk
+  // it. A missing bucket and an empty one answer every lookup alike.
+  const auto prune_index = [this](auto& index) {
+    for (auto it = index.begin(); it != index.end();) {
+      prune(it->second);
+      it = it->second.entries.empty() ? index.erase(it) : std::next(it);
+    }
+  };
+  prune_index(field_index_);
+  prune_index(arity_index_);
   compact_columns();
 }
 

@@ -11,8 +11,9 @@
 // reaction matching probes a bucket instead of scanning the multiset.
 // Buckets are cleaned lazily: mutating lookups prune in place, read-only
 // lookups (shared-lock searchers) skip stale entries; compact() prunes every
-// bucket AND rewrites column groups densely (inserts self-trigger it once
-// the dead-row debt crosses the threshold, so long worklist runs stay O(live)).
+// bucket, erases the ones left empty, AND rewrites column groups densely
+// (inserts self-trigger it once the dead-row debt crosses the threshold, so
+// long worklist runs stay O(live): rows, bucket entries and index keys alike).
 //
 // Every slot occupancy is stamped with its BIRTH, a monotone insert
 // sequence number. Buckets append in insert order and pruning keeps that
@@ -175,6 +176,11 @@ class Store {
   /// store's garbage debt, so no per-skip bookkeeping is needed).
   [[nodiscard]] const Bucket* bucket(const Pattern& p) const;
 
+  /// Live elements (any arity) whose field `field` equals `value`, counted
+  /// off the (field,value) index bucket: O(bucket), no materialization.
+  [[nodiscard]] std::size_t count_field(std::size_t field,
+                                        const Value& value) const;
+
   /// Entry-list views of bucket(); kept for callers that only iterate.
   [[nodiscard]] const std::vector<Entry>& candidates(const Pattern& p);
   [[nodiscard]] const std::vector<Entry>& candidates(const Pattern& p) const;
@@ -193,11 +199,19 @@ class Store {
   }
   static constexpr std::uint64_t kGarbageCompactThreshold = 4096;
 
-  /// Prunes stale entries from every index bucket and rewrites every column
-  /// group densely (dropping dead rows, rebuilding the spill sidecars),
-  /// settling the garbage debt. Engines call this from an exclusive section
-  /// when needs_compact().
+  /// Prunes stale entries from every index bucket, erases the buckets left
+  /// empty, and rewrites every column group densely (dropping dead rows,
+  /// rebuilding the spill sidecars), settling the garbage debt. Engines call
+  /// this from an exclusive section when needs_compact().
   void compact();
+
+  /// Index keys held: (field,value) buckets plus arity buckets. Since
+  /// compact() erases emptied buckets this is at most
+  /// max_arity × (size() + dead_rows()) + distinct arities — O(live), not
+  /// O(every value ever inserted).
+  [[nodiscard]] std::size_t index_buckets() const noexcept {
+    return field_index_.size() + arity_index_.size();
+  }
 
   /// Column-group compactions performed by THIS store (the
   /// `store.column_compactions` metric counts the process-wide total).

@@ -37,6 +37,8 @@ namespace gammaflow::runtime {
 /// thread and re-begins it for every innermost bucket visit.
 class BatchMatcher {
  public:
+  /// Also the smallest scan window the match pipeline sweeps at all:
+  /// shorter windows are probed scalar, where a gather would not amortize.
   static constexpr std::size_t kMinChunk = 64;
   static constexpr std::size_t kMaxChunk = 1024;
 

@@ -155,13 +155,14 @@ std::size_t search(StoreT& store, const Reaction& reaction, std::size_t limit,
     };
     std::size_t t = 0;
     if (mode == expr::EvalMode::Batch && depth + 1 == k &&
-        (lo == 0 || m >= BatchMatcher::kMinChunk)) {
+        m >= BatchMatcher::kMinChunk) {
       // Innermost bucket: sweep chunks of the scan as column batches and
       // probe only the lanes the fire bitmap keeps. The start offset draw
       // above is the SAME single rng->bounded(n) the scalar scan consumes,
       // and cleared lanes are exactly scalar rejections, so the rng stream
-      // and the chosen match are identical to the scalar path. A short
-      // watermark suffix is probed scalar: its sweep would not amortize.
+      // and the chosen match are identical to the scalar path. A window
+      // shorter than one chunk (a small bucket or a short watermark suffix)
+      // is probed scalar: its gather would not amortize.
       thread_local BatchMatcher matcher;
       if (matcher.begin(store, reaction, window, envs[depth])) {
         std::size_t width = BatchMatcher::kMinChunk;

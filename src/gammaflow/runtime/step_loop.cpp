@@ -1,6 +1,7 @@
 #include "gammaflow/runtime/step_loop.hpp"
 
 #include <cmath>
+#include <string_view>
 
 #include "gammaflow/gamma/multiset.hpp"
 #include "gammaflow/gamma/store.hpp"
@@ -39,7 +40,11 @@ void EngineTelemetry::finish(Outcome outcome, MetricsSnapshot& out) const {
   if (tel_ == nullptr) return;
   auto& stats = tel_->stats();
   stats.count(std::string(domain_) + ".outcome." + to_string(outcome));
-  stats.count(std::string(domain_) + ".eval_mode." + expr::to_string(mode_));
+  // Dataflow nodes always fire through the walker: the mode describes
+  // nothing there, so only the domains that match through it report it.
+  if (std::string_view(domain_) != "df") {
+    stats.count(std::string(domain_) + ".eval_mode." + expr::to_string(mode_));
+  }
   stats.count("vm.batch_evals", expr::batch_evals() - batch_evals0_);
   // Replay the process-global width tally as per-run histogram deltas. The
   // global array buckets widths by bit_width — the same indexing the

@@ -246,7 +246,8 @@ class TraceSink {
 /// The end-of-run telemetry tail every engine emits identically, null-safe
 /// throughout (a disabled sink costs one pointer test per call):
 ///   "<domain>.outcome.<why>"     — one count per run
-///   "<domain>.eval_mode.<batch|scalar>"
+///   "<domain>.eval_mode.<batch|scalar>" — gamma and distrib only; the
+///                                  dataflow engines never read the mode
 ///   "vm.batch_evals"             — BatchVm chunk evaluations (delta)
 ///   "vm.batch_width"             — histogram of batch chunk widths (delta)
 ///   "store.column_compactions"   — column-group compaction passes (delta)

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "gammaflow/common/error.hpp"
+#include "gammaflow/obs/run_recorder.hpp"
 #include "gammaflow/obs/telemetry.hpp"
 #include "gammaflow/runtime/match_pipeline.hpp"
 
@@ -148,6 +149,19 @@ Outcome IncrementalFixpoint::inject(const std::vector<gamma::Element>& elements)
   last_fires_ = 0;
   ++stats_.injects;
   StepLoop loop(options_, options_.max_steps, "worklist", "max_steps");
+  if (recording_ && !elements.empty()) {
+    // The injection is a fire with no consumed side (as the dataflow
+    // interpreter's `inject:<label>` records), so replaying the journal's
+    // fires from the empty initial store reaches `final` even when
+    // injected elements survive to it.
+    obs::FireRecord fire;
+    fire.reaction = "inject";
+    fire.produced.reserve(elements.size());
+    for (const gamma::Element& e : elements) {
+      fire.produced.push_back(e.to_string());
+    }
+    recording_.sink()->fire(std::move(fire));
+  }
   for (const gamma::Element& e : elements) {
     store_.insert(e);
     ++stats_.injected;

@@ -44,14 +44,8 @@ Session::InjectResult Session::inject(const gamma::Multiset& elements) {
 
 std::int64_t Session::count_label(const std::string& label) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  std::int64_t n = 0;
-  for (const gamma::Element& e : fix_->snapshot()) {
-    if (e.arity() >= 2 && e.field(1).is_str() &&
-        e.field(1).as_str() == label) {
-      ++n;
-    }
-  }
-  return n;
+  // Field 1 is the label slot; only arity >= 2 elements have one.
+  return static_cast<std::int64_t>(fix_->store().count_field(1, Value(label)));
 }
 
 std::int64_t Session::count_element(const gamma::Element& element) const {

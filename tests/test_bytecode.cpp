@@ -25,6 +25,7 @@
 #include "gammaflow/frontend/compile.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
+#include "gammaflow/runtime/batch_matcher.hpp"
 #include "gammaflow/translate/df_to_gamma.hpp"
 
 namespace gammaflow {
@@ -417,6 +418,13 @@ std::vector<GammaCase> gamma_corpus() {
   fig1.add(gamma::Element{Value(3), Value("C1")});
   fig1.add(gamma::Element{Value(2), Value("D1")});
   cases.push_back({"fig1.gamma", std::move(fig1)});
+  // Wide enough that the innermost bucket reaches BatchMatcher::kMinChunk,
+  // so the batch mode really sweeps (the cases above are all scalar-sized).
+  gamma::Multiset wide;
+  for (std::size_t i = 0; i < runtime::BatchMatcher::kMinChunk + 16; ++i) {
+    wide.add(gamma::Element{Value(static_cast<std::int64_t>(i) + 2)});
+  }
+  cases.push_back({"sieve.gamma", std::move(wide)});
   return cases;
 }
 
@@ -717,6 +725,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BatchDifferential,
 // rng schedule, so states AND step counts must be byte-identical).
 
 TEST(BatchCorpus, GammaEnginesStateIdenticalAcrossBothModes) {
+  std::uint64_t batch_evals = 0;  // over the batch-mode runs
   for (const GammaCase& c : gamma_corpus()) {
     const gamma::Program program =
         gamma::dsl::parse_program(read_file(examples_dir() + c.file));
@@ -732,7 +741,9 @@ TEST(BatchCorpus, GammaEnginesStateIdenticalAcrossBothModes) {
                                 return std::make_unique<gamma::IndexedEngine>();
                               }}) {
         const auto engine = make();
+        const std::uint64_t evals0 = expr::batch_evals();
         const auto batch = engine->run(program, c.initial, batch_opts);
+        batch_evals += expr::batch_evals() - evals0;
         const auto ast = engine->run(program, c.initial, ast_opts);
         EXPECT_EQ(batch.final_multiset, ast.final_multiset)
             << c.file << " " << engine->name() << " seed " << seed;
@@ -741,6 +752,8 @@ TEST(BatchCorpus, GammaEnginesStateIdenticalAcrossBothModes) {
       }
     }
   }
+  // Not vacuous: the batch mode went through the BatchMatcher.
+  EXPECT_GT(batch_evals, 0u);
 }
 
 /// Random guard over x and y rendered back to DSL text. Division and modulo
@@ -766,7 +779,8 @@ class BatchEngineDifferential
 
 TEST_P(BatchEngineDifferential, GeneratedProgramsAgreeAcrossModes) {
   // 10 generated (program, multiset) pairs per seed x 50 seeds = 500 cases,
-  // each run through the two deterministic engines in both modes.
+  // each run through the two deterministic engines in both modes, plus a
+  // wide superset of the multiset through IndexedEngine in both modes.
   // Templates rotate so literal field checks, label keys, repeated binders
   // (EqField), and outer-bound binders (EqSlot) all get exercised.
   static constexpr const char* kTemplates[] = {
@@ -775,6 +789,7 @@ TEST_P(BatchEngineDifferential, GeneratedProgramsAgreeAcrossModes) {
       "R = replace [x,'a'], [y,'b'] by [x,'done'] where %G",
       "R = replace [x, x] by x where %G",
   };
+  std::uint64_t batch_evals = 0;  // over the wide batch-mode runs
   for (std::uint64_t trial = 0; trial < 10; ++trial) {
     Rng rng(GetParam() * 7919 + trial);
     const std::string guard = random_guard(rng, 3);
@@ -782,26 +797,35 @@ TEST_P(BatchEngineDifferential, GeneratedProgramsAgreeAcrossModes) {
     std::string src(kTemplates[which]);
     src.replace(src.find("%G"), 2, guard);
 
-    gamma::Multiset init;
-    const std::size_t n = 6 + rng.bounded(10);
-    for (std::size_t i = 0; i < n; ++i) {
+    const auto add_element = [&](gamma::Multiset& m) {
       const Value v(static_cast<std::int64_t>(rng.bounded(13)) - 3);
       switch (which) {
-        case 0: init.add(gamma::Element{v}); break;
-        case 1: init.add(gamma::Element::labeled(v, "a")); break;
+        case 0: m.add(gamma::Element{v}); break;
+        case 1: m.add(gamma::Element::labeled(v, "a")); break;
         case 2:
-          init.add(gamma::Element::labeled(v, rng.coin() ? "a" : "b"));
+          m.add(gamma::Element::labeled(v, rng.coin() ? "a" : "b"));
           break;
         default: {
           const Value w = rng.coin(0.4)
                               ? v
                               : Value(static_cast<std::int64_t>(
                                     rng.bounded(13)) - 3);
-          init.add(gamma::Element{v, w});
+          m.add(gamma::Element{v, w});
           break;
         }
       }
-    }
+    };
+    gamma::Multiset init;
+    const std::size_t n = 6 + rng.bounded(10);
+    for (std::size_t i = 0; i < n; ++i) add_element(init);
+    // The batch sweep only takes innermost windows of at least kMinChunk
+    // candidates, so a second, wide multiset (a superset of `init`, wide
+    // enough for both label buckets of the 'a'/'b' template) is what
+    // actually reaches the BatchMatcher.
+    gamma::Multiset wide = init;
+    const std::size_t wide_n =
+        3 * runtime::BatchMatcher::kMinChunk + rng.bounded(16);
+    while (wide.size() < wide_n) add_element(wide);
 
     gamma::Program p;
     try {
@@ -823,7 +847,15 @@ TEST_P(BatchEngineDifferential, GeneratedProgramsAgreeAcrossModes) {
       EXPECT_EQ(batch, ast) << engine->name() << " seed " << GetParam()
                             << " trial " << trial << ": " << src;
     }
+    const std::uint64_t evals0 = expr::batch_evals();
+    const EngineRun batch = run_mode(idx, p, wide, batch_opts);
+    batch_evals += expr::batch_evals() - evals0;
+    const EngineRun ast = run_mode(idx, p, wide, ast_opts);
+    EXPECT_EQ(batch, ast) << "wide indexed seed " << GetParam() << " trial "
+                          << trial << ": " << src;
   }
+  // Not vacuous: the wide runs went through the batch sweep.
+  EXPECT_GT(batch_evals, 0u) << "seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchEngineDifferential,

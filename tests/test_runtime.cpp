@@ -16,6 +16,7 @@
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
 #include "gammaflow/paper/figures.hpp"
+#include "gammaflow/runtime/batch_matcher.hpp"
 #include "gammaflow/runtime/match_pipeline.hpp"
 #include "gammaflow/runtime/sharded_store.hpp"
 #include "gammaflow/runtime/step_loop.hpp"
@@ -287,6 +288,12 @@ std::vector<CorpusCase> corpus() {
   cases.push_back(
       {"sieve",
        "R = replace x, y by x where (y % x == 0) and (x > 1)", ints(2, 40)});
+  // Wide enough that innermost buckets reach BatchMatcher::kMinChunk, so
+  // the default batch mode really sweeps (the small cases stay scalar).
+  cases.push_back(
+      {"sieve-wide",
+       "R = replace x, y by x where (y % x == 0) and (x > 1)",
+       ints(2, 1 + static_cast<std::int64_t>(BatchMatcher::kMinChunk) + 16)});
   Multiset chains;
   for (int v = 0; v < 20; ++v) {
     chains.add(Element::labeled(Value(v), "a"));
@@ -338,6 +345,7 @@ TEST(CrossEngine, BatchMatchingIsUnobservableAcrossEveryEngine) {
     const char* name;
     bool batch;
   };
+  std::uint64_t batch_evals[2] = {0, 0};  // per mode: batch, no-batch
   for (const CorpusCase& c : corpus()) {
     const Program p = parse(c.src);
     const auto report = analysis::analyze_interference(p, c.initial);
@@ -345,6 +353,7 @@ TEST(CrossEngine, BatchMatchingIsUnobservableAcrossEveryEngine) {
         gamma::SequentialEngine().run(p, c.initial).final_multiset;
 
     for (const Mode m : {Mode{"batch", true}, Mode{"no-batch", false}}) {
+      const std::uint64_t evals0 = expr::batch_evals();
       gamma::RunOptions go;
       go.batch = m.batch;
       EXPECT_EQ(gamma::SequentialEngine().run(p, c.initial, go).final_multiset,
@@ -366,8 +375,13 @@ TEST(CrossEngine, BatchMatchingIsUnobservableAcrossEveryEngine) {
       EXPECT_EQ(distrib::run_distributed(p, c.initial, copts).final_multiset,
                 oracle)
           << c.name << ": cluster " << m.name;
+      batch_evals[m.batch ? 0 : 1] += expr::batch_evals() - evals0;
     }
   }
+  // Not vacuous: the batch mode reached the BatchMatcher, and `--no-batch`
+  // never did.
+  EXPECT_GT(batch_evals[0], 0u);
+  EXPECT_EQ(batch_evals[1], 0u);
 
   // The dataflow engines take the same knobs through DfRunOptions; Fig. 1's
   // converted firing rules are the cross-model workload.

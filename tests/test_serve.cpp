@@ -315,6 +315,85 @@ TEST(ServeProtocol, LabelQueriesCountStringField1) {
             1);
 }
 
+// The e2ebench serve-join program: keys open, a matching close retires them,
+// and the retired keys fold into one sum.
+const char* kJoin =
+    "Rclose = replace [k,'open'], [j,'close'] by [k,'done'] if k == j\n"
+    "Rsum = replace [a,'done'], [b,'done'] by [a + b, 'done']";
+
+serve::ServeOptions join_daemon() {
+  serve::ServeOptions opts;
+  opts.default_program = kJoin;
+  return opts;
+}
+
+TEST(ServeProtocol, LabelQueriesCountOnlyLiveField1Matches) {
+  // The count comes off the store's (field 1, label) index bucket: consumed
+  // elements linger there as stale entries until compaction, and the label
+  // string in any other field must not count.
+  serve::Server server(join_daemon());
+  ASSERT_TRUE(call(server,
+                   R"({"verb":"create","session":"j","init":)"
+                   R"("[1,'open'] [2,'open'] [3,'open'] ['open','x'] [5,'open',7]"})")
+                  .bool_or("ok", false));
+  ASSERT_TRUE(call(server,
+                   R"({"verb":"inject","session":"j","elements":"[1,'close'] [2,'close']"})")
+                  .bool_or("ok", false));
+  const auto count = [&](const char* label) {
+    return call(server, std::string(R"({"verb":"query","session":"j","label":")") +
+                            label + R"("})")
+        .int_or("count", -1);
+  };
+  EXPECT_EQ(count("open"), 2);  // [3,'open'] and the arity-3 [5,'open',7]
+  EXPECT_EQ(count("done"), 1);  // [1,'done'] + [2,'done'] folded to [3,'done']
+  EXPECT_EQ(count("close"), 0);
+  EXPECT_EQ(count("x"), 1);
+  EXPECT_EQ(count("nope"), 0);
+}
+
+TEST(ServeProtocol, RecordedJoinJournalReplaysInjectedSurvivors) {
+  // Injected elements that survive to the final store ([3,'open'],
+  // [4,'open']) were produced by no reaction; each inject is journaled as
+  // an `inject` fire, so replaying the fires from the empty initial store
+  // still reaches `final`. (On the min program every survivor is a fire
+  // product, which is why CloseReturnsSessionTaggedJournalInline cannot
+  // see this.)
+  serve::Server server(join_daemon());
+  ASSERT_TRUE(call(server,
+                   R"({"verb":"create","session":"rj","record":true,)"
+                   R"("init":"[1,'open'] [2,'open'] [3,'open']"})")
+                  .bool_or("ok", false));
+  ASSERT_TRUE(call(server,
+                   R"({"verb":"inject","session":"rj","elements":"[1,'close'] [4,'open']"})")
+                  .bool_or("ok", false));
+  ASSERT_TRUE(call(server,
+                   R"({"verb":"inject","session":"rj","elements":"[2,'close']"})")
+                  .bool_or("ok", false));
+  const serve::Json closed = call(server, R"({"verb":"close","session":"rj"})");
+  ASSERT_TRUE(closed.bool_or("ok", false));
+  const serve::Json* journal = closed.get("journal");
+  ASSERT_NE(journal, nullptr);
+  const obs::Journal parsed = obs::parse_journal_string(journal->to_string());
+
+  EXPECT_EQ(obs::verify_journal(parsed), "");
+  EXPECT_EQ(parsed.fires_dropped, 0u);
+  const auto key = [](std::int64_t v, const char* label) {
+    return labeled(v, label).to_string();
+  };
+  const obs::StoreCounts want{
+      {key(3, "done"), 1}, {key(3, "open"), 1}, {key(4, "open"), 1}};
+  EXPECT_EQ(parsed.final_store, want);
+  EXPECT_EQ(obs::replay_fires(parsed, parsed.fires.size()), want);
+
+  std::size_t inject_fires = 0;
+  for (const obs::FireRecord& f : parsed.fires) {
+    if (f.reaction != "inject") continue;
+    ++inject_fires;
+    EXPECT_TRUE(f.consumed.empty());
+  }
+  EXPECT_EQ(inject_fires, 3u);  // create's init plus the two injects
+}
+
 TEST(ServeProtocol, SessionErrorsMatchTheSpec) {
   serve::Server server(min_daemon());
   ASSERT_TRUE(call(server, R"({"verb":"create","session":"dup"})")

@@ -2,7 +2,12 @@
 // match finding and enumeration.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <utility>
+
+#include "gammaflow/common/rng.hpp"
 #include "gammaflow/expr/parser.hpp"
+#include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/store.hpp"
 
 namespace gammaflow::gamma {
@@ -319,6 +324,81 @@ TEST(Store, MatchPatternAgreesWithElementMatch) {
   ASSERT_TRUE(s.match_pattern(hit, id, env));
   EXPECT_EQ(*env.find("x"), Value(41));
   EXPECT_EQ(*env.find("v"), Value(3));
+}
+
+TEST(Store, IndexKeysStayBoundedByLiveAndDeadRowsUnderChurn) {
+  // Algorithm 1 mints a fresh value and tag per firing. A store that kept
+  // one (field,value) bucket for every value it ever indexed would hold
+  // ~200k keys here and walk all of them on every compaction; compaction
+  // erases emptied buckets, so the index tracks live + not-yet-compacted
+  // rows instead.
+  constexpr std::size_t kArity = 3;
+  Store s;
+  Multiset oracle;
+  std::deque<std::pair<Store::Id, Element>> window;
+  for (std::int64_t i = 0; i < 100000; ++i) {
+    Element e = Element::tagged(Value(i), "x", i);
+    window.emplace_back(s.insert(e), e);
+    oracle.add(e);
+    if (window.size() > 8) {
+      s.remove(window.front().first);
+      ASSERT_TRUE(oracle.remove_one(window.front().second));
+      window.pop_front();
+    }
+    // +1: the one arity bucket.
+    ASSERT_LE(s.index_buckets(), kArity * (s.size() + s.dead_rows()) + 1)
+        << "after insert " << i;
+  }
+  EXPECT_GT(s.column_compactions(), 0u);
+  EXPECT_EQ(s.size(), 8u);
+  EXPECT_EQ(s.to_multiset(), oracle);
+  s.compact();
+  // (1,'x') + the arity bucket + one key per fresh value and per fresh tag.
+  EXPECT_EQ(s.index_buckets(), 2u + 2u * s.size());
+}
+
+TEST(Store, CompactionPointsAreUnobservableToMatching) {
+  // Twin stores fed the same commit log: `churned` compacts only when its
+  // own dead-row debt triggers it, `forced` also at pseudo-random points.
+  // Compaction (pruning, erasing emptied buckets, rewriting rows) must
+  // change no search: every find returns the same Match and leaves the rng
+  // in the same state, under both evaluators. 80 live elements keep the
+  // innermost bucket above the batch/memo threshold.
+  const Program program = dsl::parse_program(
+      "R = replace [x,'x',t], [y,'x',u] "
+      "by [y,'x',t + 1], [(x + y) % 1009,'x',u + 1] where (x + y) % 7 != 0");
+  const Reaction& r = program.stages()[0][0];
+  for (const expr::EvalMode mode :
+       {expr::EvalMode::Scalar, expr::EvalMode::Batch}) {
+    Store churned;
+    Store forced;
+    for (std::int64_t i = 0; i < 80; ++i) {
+      churned.insert(Element::tagged(Value(i * 13 % 1009), "x", i));
+      forced.insert(Element::tagged(Value(i * 13 % 1009), "x", i));
+    }
+    Rng rng_churned(2024);
+    Rng rng_forced(2024);
+    Rng when(99);
+    std::size_t steps = 0;
+    for (; steps < 10000; ++steps) {
+      const auto a = find_match(churned, r, &rng_churned, mode);
+      const auto b = find_match(forced, r, &rng_forced, mode);
+      ASSERT_EQ(a.has_value(), b.has_value()) << "step " << steps;
+      Rng next_churned = rng_churned;
+      Rng next_forced = rng_forced;
+      ASSERT_EQ(next_churned(), next_forced()) << "step " << steps;
+      if (!a) break;
+      ASSERT_EQ(a->ids, b->ids) << "step " << steps;
+      ASSERT_EQ(a->produced, b->produced) << "step " << steps;
+      commit(churned, *a);
+      commit(forced, *b);
+      if (when.coin(0.1)) forced.compact();
+    }
+    EXPECT_GT(steps, 1000u);
+    EXPECT_GT(churned.column_compactions(), 0u);
+    EXPECT_GT(forced.column_compactions(), churned.column_compactions());
+    EXPECT_EQ(churned.to_multiset(), forced.to_multiset());
+  }
 }
 
 TEST(EnumerateMatches, OnlyEnabledMatchesVisited) {
