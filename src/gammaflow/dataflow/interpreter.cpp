@@ -172,7 +172,7 @@ class Machine {
         emit_from(inst.node, f, jrec_ != nullptr ? &produced : nullptr);
         record_fire(inst.node, &inst, std::move(produced));
       }
-      if (jrec_ != nullptr) jrec_->round(snapshot());
+      if (jrec_ != nullptr) jrec_->round();
       // Ready tokens the wavefront produced for the next one: the token
       // queue depth over time.
       if (tel_ != nullptr) {

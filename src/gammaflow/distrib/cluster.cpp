@@ -563,7 +563,9 @@ ClusterResult Simulation::run() {
     }
     // One journal round per cluster round. The snapshot is the union of
     // live shards; elements on the wire reappear when delivered (the
-    // delta-vs-last-kept encoding keeps replay exact regardless).
+    // delta-vs-last-kept encoding keeps replay exact regardless). A
+    // snapshot diff rather than the fire-built round(): delivery off the
+    // wire and crash restores change the shards without a fire.
     if (recording_) {
       Multiset all;
       for (Node& n : nodes_) all.add(n.shard.to_multiset());

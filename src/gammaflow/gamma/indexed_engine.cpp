@@ -103,7 +103,7 @@ RunResult IndexedEngine::run(const Program& program, const Multiset& initial,
         pass_span.set_arg(pass_fires);
         // One journal round per pass: the granularity the viz scrubber
         // steps through for this engine.
-        if (recording && pass_fires > 0) recording.round(store);
+        if (recording && pass_fires > 0) recording.round();
       }
     };
 

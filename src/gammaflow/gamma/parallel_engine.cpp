@@ -491,7 +491,7 @@ RunResult ParallelEngine::run(const Program& program, const Multiset& initial,
     result.steps += sr.steps;
     for (const auto& [name, n] : sr.fires) result.fires_by_reaction[name] += n;
     // One journal round per stage: workers joined, `current` is consistent.
-    if (recording) recording.round(current);
+    if (recording) recording.round();
   }
 
   if (tel) {

@@ -80,7 +80,7 @@ RunResult SequentialEngine::run(const Program& program, const Multiset& initial,
     }
     // One journal round per stage fixed point: the store the next stage
     // starts from.
-    if (recording) recording.round(store);
+    if (recording) recording.round();
   }
 
   if (tel) {

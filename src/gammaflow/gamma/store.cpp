@@ -179,6 +179,37 @@ std::size_t Store::count_field(std::size_t field, const Value& value) const {
       [this](Entry e) { return live(e); }));
 }
 
+std::size_t Store::count(const Element& e) const {
+  const std::size_t arity = e.arity();
+  const Bucket* smallest = nullptr;
+  if (arity == 0) {
+    const auto it = arity_index_.find(0);
+    if (it != arity_index_.end()) smallest = &it->second;
+  }
+  for (std::size_t f = 0; f < arity; ++f) {
+    const auto it = field_index_.find(FieldKey{f, e.field(f)});
+    if (it == field_index_.end()) return 0;
+    if (smallest == nullptr ||
+        it->second.entries.size() < smallest->entries.size()) {
+      smallest = &it->second;
+    }
+  }
+  if (smallest == nullptr) return 0;
+  std::size_t n = 0;
+  for (const Entry entry : smallest->entries) {
+    if (!live(entry)) continue;
+    const Loc loc = locs_[entry.id];
+    const ColumnGroup& g = groups_[loc.group];
+    if (g.arity != arity) continue;
+    bool equal = true;
+    for (std::size_t f = 0; f < arity && equal; ++f) {
+      equal = g.field_value(loc.row, f) == e.field(f);
+    }
+    if (equal) ++n;
+  }
+  return n;
+}
+
 std::vector<Store::Refutation>& Store::refutations(std::uint64_t key) {
   std::vector<Refutation>& memo = refutations_[key];
   if (memo.size() < locs_.size()) memo.resize(locs_.size());

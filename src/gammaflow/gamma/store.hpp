@@ -181,6 +181,11 @@ class Store {
   [[nodiscard]] std::size_t count_field(std::size_t field,
                                         const Value& value) const;
 
+  /// Multiplicity of `e` among the live elements, counted off the smallest
+  /// of its (field,value) buckets (the arity bucket for arity 0): O(bucket),
+  /// no snapshot.
+  [[nodiscard]] std::size_t count(const Element& e) const;
+
   /// Entry-list views of bucket(); kept for callers that only iterate.
   [[nodiscard]] const std::vector<Entry>& candidates(const Pattern& p);
   [[nodiscard]] const std::vector<Entry>& candidates(const Pattern& p) const;

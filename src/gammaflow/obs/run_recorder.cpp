@@ -46,25 +46,34 @@ std::uint64_t total_count(const StoreCounts& store) {
 // ---------------------------------------------------------------- writing
 
 void write_json_string(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
+  out.put('"');
+  // Bytes that need no escape go out in runs, one write() per run rather
+  // than one stream insertion per character.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    const char* esc = nullptr;
     switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
+      case '"': esc = "\\\""; break;
+      case '\\': esc = "\\\\"; break;
+      case '\n': esc = "\\n"; break;
+      case '\r': esc = "\\r"; break;
+      case '\t': esc = "\\t"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
+        if (static_cast<unsigned char>(c) >= 0x20) continue;
+    }
+    out.write(s.data() + run, static_cast<std::streamsize>(i - run));
+    run = i + 1;
+    if (esc != nullptr) {
+      out << esc;
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      out << buf;
     }
   }
-  out << '"';
+  out.write(s.data() + run, static_cast<std::streamsize>(s.size() - run));
+  out.put('"');
 }
 
 void write_counts(std::ostream& out, const StoreCounts& counts) {
@@ -371,6 +380,8 @@ void RunRecorder::begin(std::string engine, std::string kind,
   journal_.kind = std::move(kind);
   journal_.initial = std::move(initial);
   last_kept_ = journal_.initial;
+  pending_.clear();
+  live_ = static_cast<std::int64_t>(total_count(journal_.initial));
   round_bytes_ = 0;
   fires_in_round_ = 0;
 }
@@ -384,6 +395,14 @@ void RunRecorder::fire(FireRecord record) {
   const std::lock_guard<std::mutex> lock(mu_);
   ++journal_.fires_total;
   ++fires_in_round_;
+  const auto bump = [this](const std::string& elem, std::int64_t by) {
+    const auto [it, fresh] = pending_.try_emplace(elem, by);
+    if (!fresh && (it->second += by) == 0) pending_.erase(it);
+  };
+  for (const std::string& e : record.consumed) bump(e, -1);
+  for (const std::string& e : record.produced) bump(e, +1);
+  live_ += static_cast<std::int64_t>(record.produced.size()) -
+           static_cast<std::int64_t>(record.consumed.size());
   if (journal_.fires.size() >= limits_.max_fires) {
     ++journal_.fires_dropped;
     return;
@@ -405,23 +424,48 @@ void RunRecorder::close_round_locked(const StoreCounts& store,
     const std::int64_t after = it == store.end() ? 0 : it->second;
     if (n > after) delta.removed[elem] = n - after;
   }
-  delta.fires = fires_in_round_;
   delta.store_size = total_count(store);
+  if (!keep_round_locked(std::move(delta), budget_exempt)) return;
+  // The snapshot is the new baseline, whatever the fires said.
+  last_kept_ = store;
+  live_ = static_cast<std::int64_t>(journal_.rounds.back().store_size);
+}
+
+bool RunRecorder::keep_round_locked(RoundDelta delta, bool budget_exempt) {
+  delta.fires = fires_in_round_;
   if (!budget_exempt) {
     const std::uint64_t bytes = entry_bytes(delta.added) +
                                 entry_bytes(delta.removed) + 32;
     if (journal_.rounds.size() >= limits_.max_rounds ||
         round_bytes_ + bytes > limits_.max_round_bytes) {
-      // Dropped: last_kept_ stays put, so this delta folds into the next
-      // kept round (or the budget-exempt closing round).
+      // Dropped: last_kept_ and pending_ stay put, so this delta folds into
+      // the next kept round (or the budget-exempt closing round).
       ++journal_.rounds_dropped;
-      return;
+      return false;
     }
     round_bytes_ += bytes;
   }
   fires_in_round_ = 0;
-  last_kept_ = store;
+  pending_.clear();
   journal_.rounds.push_back(std::move(delta));
+  return true;
+}
+
+void RunRecorder::round() {
+  const std::lock_guard<std::mutex> lock(mu_);
+  ++journal_.rounds_total;
+  RoundDelta delta;
+  for (const auto& [elem, n] : pending_) {
+    if (n > 0) {
+      delta.added.emplace_hint(delta.added.end(), elem, n);
+    } else {
+      delta.removed.emplace_hint(delta.removed.end(), elem, -n);
+    }
+  }
+  delta.store_size = static_cast<std::uint64_t>(live_);
+  if (!keep_round_locked(std::move(delta), /*budget_exempt=*/false)) return;
+  const RoundDelta& kept = journal_.rounds.back();
+  apply_delta(last_kept_, kept.added, kept.removed);
 }
 
 void RunRecorder::round(const StoreCounts& store) {
@@ -433,6 +477,8 @@ void RunRecorder::round(const StoreCounts& store) {
 void RunRecorder::finish(std::string outcome, StoreCounts final_store) {
   const std::lock_guard<std::mutex> lock(mu_);
   journal_.outcome = std::move(outcome);
+  // A snapshot diff, not the pending delta: the closing round must reach
+  // `final_store` exactly whatever the engine did outside recorded fires.
   if (last_kept_ != final_store) {
     ++journal_.rounds_total;
     close_round_locked(final_store, /*budget_exempt=*/true);
@@ -450,6 +496,8 @@ Journal RunRecorder::take() {
   Journal out = std::move(journal_);
   journal_ = Journal{};
   last_kept_.clear();
+  pending_.clear();
+  live_ = 0;
   round_bytes_ = 0;
   fires_in_round_ = 0;
   return out;

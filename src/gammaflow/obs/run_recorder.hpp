@@ -5,6 +5,13 @@
 // per-round store snapshots, delta-encoded against the last KEPT snapshot so
 // dropped rounds fold into the next one instead of corrupting replay.
 //
+// Rounds come in two forms. round() builds the delta from the fires since
+// the last kept round (O(delta); every engine whose store changes only by
+// recorded fires uses it). round(store) diffs a full snapshot (O(store);
+// the cluster, whose wire and crash restores are not fires, and finish()'s
+// closing round use it). Both produce the same delta when every change is
+// a fire.
+//
 // Budgets mirror runtime::TraceSink's discipline: firings and rounds past
 // the caps still execute, the journal just stops growing and counts the
 // drops (fires_dropped / rounds_dropped). A journal with zero drops replays
@@ -96,12 +103,23 @@ class RunRecorder {
   /// after begin() — begin resets the journal, tag included.
   void set_session(std::string session);
 
-  /// Records one firing (budgeted; drops count toward fires_dropped).
+  /// Records one firing (budgeted; drops count toward fires_dropped). The
+  /// firing's consumed/produced strings feed the pending round delta even
+  /// when the record itself is dropped, so round() stays exact.
   void fire(FireRecord record);
 
-  /// Closes a round: computes the delta of `store` against the last kept
-  /// snapshot. Budget-dropped rounds leave the baseline untouched, so the
-  /// dropped delta folds into the next kept round.
+  /// Closes a round from the fires since the last kept round: the delta is
+  /// their net consumed/produced count, O(delta) rather than O(store). Exact
+  /// for engines whose store changes only through recorded fires. A
+  /// budget-dropped round keeps its pending delta, which folds into the
+  /// next kept round.
+  void round();
+
+  /// Closes a round from a full snapshot: the delta of `store` against the
+  /// last kept snapshot. For stores that also change outside fires (the
+  /// cluster's wire and crash restores). Budget-dropped rounds leave the
+  /// baseline untouched, so the dropped delta folds into the next kept
+  /// round.
   void round(const StoreCounts& store);
 
   /// Ends the run. Appends a closing round when the last kept snapshot
@@ -116,11 +134,17 @@ class RunRecorder {
 
  private:
   void close_round_locked(const StoreCounts& store, bool budget_exempt);
+  /// Appends `delta` unless the round budget drops it; true when kept.
+  bool keep_round_locked(RoundDelta delta, bool budget_exempt);
 
   mutable std::mutex mu_;
   RecorderLimits limits_;
   Journal journal_;
   StoreCounts last_kept_;       // baseline for the next round delta
+  /// Net multiplicity change of the fires since the last kept round
+  /// (produced minus consumed; zero entries erased).
+  StoreCounts pending_;
+  std::int64_t live_ = 0;       // total multiplicity: initial plus fires
   std::uint64_t round_bytes_ = 0;
   std::uint64_t fires_in_round_ = 0;
 };

@@ -74,12 +74,12 @@ void RunRecording::begin(const gamma::Multiset& initial) const {
   if (rec_ != nullptr) rec_->begin(engine_, kind_, store_counts(initial));
 }
 
-void RunRecording::round(const gamma::Multiset& store) const {
-  if (rec_ != nullptr) rec_->round(store_counts(store));
+void RunRecording::round() const {
+  if (rec_ != nullptr) rec_->round();
 }
 
-void RunRecording::round(const gamma::Store& store) const {
-  if (rec_ != nullptr) rec_->round(store_counts(store.to_multiset()));
+void RunRecording::round(const gamma::Multiset& store) const {
+  if (rec_ != nullptr) rec_->round(store_counts(store));
 }
 
 void RunRecording::finish(Outcome outcome,

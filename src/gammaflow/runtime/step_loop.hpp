@@ -44,7 +44,6 @@ class RunRecorder;
 
 namespace gammaflow::gamma {
 class Multiset;
-class Store;
 }  // namespace gammaflow::gamma
 
 namespace gammaflow::runtime {
@@ -308,8 +307,14 @@ class RunRecording {
   }
 
   void begin(const gamma::Multiset& initial) const;
+  /// Closes a round from the fires recorded since the last kept round
+  /// (obs::RunRecorder::round()): for engines whose store changes only
+  /// through MatchPipeline::commit.
+  void round() const;
+  /// Closes a round from a full snapshot. Only the cluster needs it: its
+  /// live shards also change by delivery of elements that were on the wire
+  /// and by crash restores, neither of which is a fire.
   void round(const gamma::Multiset& store) const;
-  void round(const gamma::Store& store) const;
   void finish(Outcome outcome, const gamma::Multiset& final_store) const;
 
  private:

@@ -168,7 +168,7 @@ Outcome IncrementalFixpoint::inject(const std::vector<gamma::Element>& elements)
     wake_element(e);
   }
   last_outcome_ = saturate(loop);
-  if (recording_) recording_.round(store_);
+  if (recording_) recording_.round();
   if (obs::Telemetry* tel = options_.telemetry) {
     auto& stats = tel->stats();
     stats.count("serve.injected", elements.size());

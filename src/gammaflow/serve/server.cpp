@@ -304,27 +304,22 @@ std::string Server::verb_stats(const Json& req) {
                     {"quiesce_p99_us", Json(h.quantile(0.99))}});
 }
 
-void Server::finish_session(Session& session, JsonObj& reply) {
-  if (!session.recording()) return;
+std::optional<obs::Journal> Server::finish_session(Session& session,
+                                                   JsonObj& reply) {
+  if (!session.recording()) return std::nullopt;
   obs::Journal journal = session.close();
-  if (!options_.record_out.empty()) {
-    const std::string path =
-        session_journal_path(options_.record_out, session.id());
-    std::ofstream out(path);
-    if (!out) {
-      reply.insert_or_assign("journal_error",
-                             Json("cannot write " + path));
-      return;
-    }
-    obs::write_journal(out, journal);
-    out << '\n';
-    reply.insert_or_assign("journal_path", Json(path));
-    return;
+  if (options_.record_out.empty()) return journal;
+  const std::string path =
+      session_journal_path(options_.record_out, session.id());
+  std::ofstream out(path);
+  if (!out) {
+    reply.insert_or_assign("journal_error", Json("cannot write " + path));
+    return std::nullopt;
   }
-  // No stem configured: hand the journal back inline (budget-capped by
-  // RecorderLimits, so the reply stays a sane single line).
-  reply.insert_or_assign("journal",
-                         parse_json(obs::journal_to_string(journal)));
+  obs::write_journal(out, journal);
+  out << '\n';
+  reply.insert_or_assign("journal_path", Json(path));
+  return std::nullopt;
 }
 
 std::string Server::verb_close(const Json& req) {
@@ -345,8 +340,18 @@ std::string Server::verb_close(const Json& req) {
   JsonObj reply{{"ok", Json(true)},
                 {"session", Json(id)},
                 {"fires_total", Json(session->stats().fires)}};
-  finish_session(*session, reply);
-  return reply_str(std::move(reply));
+  const std::optional<obs::Journal> journal = finish_session(*session, reply);
+  std::string line = reply_str(std::move(reply));
+  if (!journal) return line;
+  // No stem configured: hand the journal back inline (budget-capped by
+  // RecorderLimits, so the reply stays a sane single line). Its text goes
+  // straight into the reply as the last field, so it is rendered once.
+  line.back() = ',';  // reopen the rendered object
+  std::ostringstream out(std::move(line), std::ios_base::ate);
+  out << "\"journal\":";
+  obs::write_journal(out, *journal);
+  out << '}';
+  return std::move(out).str();
 }
 
 void Server::close_all_sessions() {
@@ -357,7 +362,7 @@ void Server::close_all_sessions() {
   }
   for (auto& [id, session] : doomed) {
     JsonObj scratch;
-    finish_session(*session, scratch);
+    (void)finish_session(*session, scratch);  // no client to inline it to
   }
 }
 
@@ -377,13 +382,40 @@ void Server::serve_stream(std::istream& in, std::ostream& out) {
 
 // ----------------------------------------------------------------- socket
 
+void LineSplitter::append(const char* data, std::size_t n) {
+  if (too_long_) return;
+  buf_.erase(0, start_);
+  scan_ -= start_;
+  start_ = 0;
+  buf_.append(data, n);
+}
+
+std::optional<std::string> LineSplitter::next() {
+  if (too_long_) return std::nullopt;
+  const std::size_t nl = buf_.find('\n', scan_);
+  if (nl == std::string::npos) {
+    scan_ = buf_.size();
+    too_long_ = scan_ - start_ > kMaxLineBytes;
+    return std::nullopt;
+  }
+  if (nl - start_ > kMaxLineBytes) {
+    too_long_ = true;
+    return std::nullopt;
+  }
+  std::string line = buf_.substr(start_, nl - start_);
+  start_ = scan_ = nl + 1;
+  return line;
+}
+
 namespace {
 
-/// write(2) the whole buffer, riding out partial writes and EINTR.
+/// send(2) the whole buffer, riding out partial writes and EINTR. A peer
+/// that hung up is an EPIPE failure, not a SIGPIPE that kills the daemon.
 bool write_all(int fd, const std::string& data) {
   std::size_t off = 0;
   while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+    const ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -426,19 +458,28 @@ int Server::serve_socket() {
     const int conn = ::accept(listen_fd, nullptr, nullptr);
     if (conn < 0) continue;
     workers.emplace_back([this, conn] {
-      std::string buffer;
+      LineSplitter lines;
       char chunk[4096];
-      while (true) {
+      bool open = true;
+      while (open) {
         const ssize_t n = ::read(conn, chunk, sizeof(chunk));
         if (n < 0 && errno == EINTR) continue;
         if (n <= 0) break;
-        buffer.append(chunk, static_cast<std::size_t>(n));
-        std::size_t nl = 0;
-        while ((nl = buffer.find('\n')) != std::string::npos) {
-          const std::string line = buffer.substr(0, nl);
-          buffer.erase(0, nl + 1);
-          if (line.empty()) continue;
-          if (!write_all(conn, handle_line(line) + '\n')) break;
+        lines.append(chunk, static_cast<std::size_t>(n));
+        while (open) {
+          const std::optional<std::string> line = lines.next();
+          if (!line) break;
+          if (line->empty()) continue;
+          open = write_all(conn, handle_line(*line) + '\n');
+        }
+        if (open && lines.too_long()) {
+          (void)write_all(
+              conn, error_reply("line_too_long",
+                                str_cat("request line exceeds ",
+                                        kMaxLineBytes,
+                                        " bytes; closing the connection")) +
+                        '\n');
+          break;
         }
         if (shutdown_requested()) break;
       }
@@ -481,12 +522,16 @@ std::string Client::call(const std::string& request) {
   }
   char chunk[4096];
   while (true) {
-    const std::size_t nl = buffer_.find('\n');
+    // Resume the search where the last read left it: a long reply (an
+    // inline journal) is scanned once, not once per read.
+    const std::size_t nl = buffer_.find('\n', scanned_);
     if (nl != std::string::npos) {
       std::string line = buffer_.substr(0, nl);
       buffer_.erase(0, nl + 1);
+      scanned_ = 0;
       return line;
     }
+    scanned_ = buffer_.size();
     const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) throw Error("serve client: daemon hung up mid-reply");

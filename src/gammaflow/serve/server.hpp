@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "gammaflow/serve/session.hpp"
@@ -57,6 +58,36 @@ struct ServeOptions {
   obs::Telemetry* telemetry = nullptr;
 };
 
+/// Longest request line the socket front buffers, newline excluded. A
+/// connection whose line grows past it gets one `line_too_long` error reply
+/// and is closed (DESIGN §14), so a client that never sends a newline
+/// cannot grow the daemon's memory without bound.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
+/// Splits a connection's byte stream into request lines. Each complete
+/// line is scanned once (the search resumes where the last one stopped)
+/// and consumed bytes are erased once per append(), so pipelined or long
+/// input costs O(bytes), not O(bytes × lines).
+class LineSplitter {
+ public:
+  /// Appends bytes read from the connection.
+  void append(const char* data, std::size_t n);
+  /// The next complete line, newline stripped; nullopt when none is
+  /// buffered or once the stream is too_long().
+  [[nodiscard]] std::optional<std::string> next();
+  /// True once a line (complete or not) has exceeded kMaxLineBytes; the
+  /// stream cannot be resynchronized and the connection should close.
+  [[nodiscard]] bool too_long() const noexcept { return too_long_; }
+  /// Bytes held: at most kMaxLineBytes plus one append() past it.
+  [[nodiscard]] std::size_t buffered() const noexcept { return buf_.size(); }
+
+ private:
+  std::string buf_;
+  std::size_t start_ = 0;  // first byte of the unconsumed tail
+  std::size_t scan_ = 0;   // bytes in [start_, scan_) hold no newline
+  bool too_long_ = false;
+};
+
 class Server {
  public:
   explicit Server(ServeOptions options);
@@ -92,8 +123,11 @@ class Server {
   std::string verb_shutdown();
   /// Closes every session (flushing journals); shutdown's cleanup.
   void close_all_sessions();
-  /// Finalizes one session: journal to "<stem>.<id>.<ext>" or inline.
-  void finish_session(Session& session, JsonObj& reply);
+  /// Finalizes one session: writes its journal to "<stem>.<id>.<ext>"
+  /// (noting the path, or the failure, in `reply`), or returns it for the
+  /// caller to inline when no stem is configured.
+  std::optional<obs::Journal> finish_session(Session& session,
+                                             JsonObj& reply);
 
   ServeOptions options_;
   mutable std::mutex mu_;
@@ -118,6 +152,7 @@ class Client {
  private:
   int fd_ = -1;
   std::string buffer_;
+  std::size_t scanned_ = 0;  // prefix of buffer_ known to hold no newline
 };
 
 /// Journal output path for one session: "<stem>.<session>.<ext>" derived

@@ -50,7 +50,7 @@ std::int64_t Session::count_label(const std::string& label) const {
 
 std::int64_t Session::count_element(const gamma::Element& element) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<std::int64_t>(fix_->snapshot().count(element));
+  return static_cast<std::int64_t>(fix_->store().count(element));
 }
 
 std::size_t Session::store_size() const {

@@ -8,6 +8,7 @@
 #include <initializer_list>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "gammaflow/analysis/interference.hpp"
 #include "gammaflow/common/rng.hpp"
@@ -40,6 +41,59 @@ std::unique_ptr<gamma::Engine> make_engine(const std::string& name) {
 }
 
 const char* kMin = "Rmin = replace x, y by x where x < y";
+// Two stages, so the engines that close one round per stage close several.
+const char* kDoubleThenMin =
+    "Rdbl = replace x by x * 2 where x < 40 ; "
+    "Rmin = replace x, y by x where x < y";
+
+/// The recorder header's invariant for a journal with no dropped fires:
+/// replaying rounds 0..k equals replaying every fire with round <= k, and
+/// round k's store_size is that store's total multiplicity. Rounds are
+/// built from the fires, so this is what makes them exact. It holds across
+/// dropped rounds too: a fire's round is the next KEPT one, and a dropped
+/// round's delta folds into it.
+void expect_rounds_replay_their_fires(const Journal& j) {
+  ASSERT_EQ(j.fires_dropped, 0u);
+  ASSERT_FALSE(j.rounds.empty());
+  std::size_t upto = 0;  // fires with round <= k (fires are in round order)
+  for (std::size_t k = 0; k < j.rounds.size(); ++k) {
+    while (upto < j.fires.size() && j.fires[upto].round <= k) ++upto;
+    const StoreCounts at = obs::replay_rounds(j, k + 1);
+    EXPECT_EQ(at, obs::replay_fires(j, upto)) << "round " << k;
+    std::uint64_t size = 0;
+    for (const auto& [elem, n] : at) size += static_cast<std::uint64_t>(n);
+    EXPECT_EQ(j.rounds[k].store_size, size) << "round " << k;
+  }
+  EXPECT_EQ(upto, j.fires.size()) << "a fire landed after the last round";
+}
+
+/// Fire records are an audit trail, not the round source of truth: capping
+/// them must leave every round delta unchanged.
+void expect_same_rounds(const Journal& capped, const Journal& full) {
+  ASSERT_EQ(capped.rounds.size(), full.rounds.size());
+  for (std::size_t k = 0; k < full.rounds.size(); ++k) {
+    EXPECT_EQ(capped.rounds[k].added, full.rounds[k].added) << "round " << k;
+    EXPECT_EQ(capped.rounds[k].removed, full.rounds[k].removed)
+        << "round " << k;
+    EXPECT_EQ(capped.rounds[k].store_size, full.rounds[k].store_size)
+        << "round " << k;
+    EXPECT_EQ(capped.rounds[k].fires, full.rounds[k].fires) << "round " << k;
+  }
+  EXPECT_EQ(capped.final_store, full.final_store);
+}
+
+/// Journal budgets that drop every round but the first and keep no round
+/// bytes to speak of: the dropped deltas must fold into the closing round.
+void expect_dropped_rounds_fold_into_closing(const Journal& j,
+                                             const StoreCounts& final) {
+  EXPECT_GT(j.rounds_dropped, 0u);
+  EXPECT_EQ(obs::verify_journal(j), "");
+  expect_rounds_replay_their_fires(j);
+  EXPECT_EQ(obs::replay_rounds(j, j.rounds.size()), final);
+  std::uint64_t fires = 0;
+  for (const obs::RoundDelta& d : j.rounds) fires += d.fires;
+  EXPECT_EQ(fires, j.fires_total);  // dropped rounds' fires carry forward
+}
 
 // ---------------------------------------------------------------- gamma ---
 
@@ -103,6 +157,64 @@ TEST_P(GammaRecorderSuite, SerializeParseRoundTrip) {
   EXPECT_EQ(obs::verify_journal(parsed), "");
 }
 
+Journal record_gamma(const char* engine, const char* program_text,
+                     const gamma::Multiset& initial, RecorderLimits limits,
+                     gamma::Multiset* final = nullptr) {
+  const gamma::Program program = gamma::dsl::parse_program(program_text);
+  RunRecorder rec(limits);
+  gamma::RunOptions opts;
+  opts.seed = 5;
+  opts.workers = 1;  // deterministic, so capped and full runs align
+  opts.record = &rec;
+  const auto result = make_engine(engine)->run(program, initial, opts);
+  if (final != nullptr) *final = result.final_multiset;
+  return rec.take();
+}
+
+gamma::Multiset descending(std::int64_t n) {
+  gamma::Multiset m;
+  for (std::int64_t i = n; i >= 1; --i) m.add(gamma::Element({Value(i)}));
+  return m;
+}
+
+TEST_P(GammaRecorderSuite, RoundsReplayTheirFires) {
+  const Journal j =
+      record_gamma(GetParam(), kDoubleThenMin, descending(30), {});
+  EXPECT_EQ(obs::verify_journal(j), "");
+  expect_rounds_replay_their_fires(j);
+  // Two stages: the per-stage (seq, par) or per-pass (idx) rounds close
+  // more than one round before finish().
+  EXPECT_GE(j.rounds.size(), 2u);
+}
+
+TEST_P(GammaRecorderSuite, OneFireRecordStillGivesExactRounds) {
+  RecorderLimits one;
+  one.max_fires = 1;
+  const Journal capped =
+      record_gamma(GetParam(), kDoubleThenMin, descending(30), one);
+  const Journal full =
+      record_gamma(GetParam(), kDoubleThenMin, descending(30), {});
+  EXPECT_EQ(capped.fires.size(), 1u);
+  EXPECT_EQ(capped.fires_dropped + 1, capped.fires_total);
+  EXPECT_EQ(obs::verify_journal(capped), "");
+  expect_same_rounds(capped, full);
+}
+
+TEST_P(GammaRecorderSuite, TinyRoundBudgetsFoldIntoTheClosingRound) {
+  for (const bool by_bytes : {false, true}) {
+    RecorderLimits tiny;
+    if (by_bytes) {
+      tiny.max_round_bytes = 40;
+    } else {
+      tiny.max_rounds = 1;
+    }
+    gamma::Multiset final;
+    const Journal j = record_gamma(GetParam(), kDoubleThenMin,
+                                   descending(30), tiny, &final);
+    expect_dropped_rounds_fold_into_closing(j, runtime::store_counts(final));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Engines, GammaRecorderSuite,
                          ::testing::Values("seq", "idx", "par"));
 
@@ -131,6 +243,42 @@ TEST(Recorder, TinyBudgetCountsDropsAndStillConverges) {
   EXPECT_EQ(obs::replay_rounds(j, j.rounds.size()),
             runtime::store_counts(result.final_multiset));
   EXPECT_EQ(obs::verify_journal(j), "");
+}
+
+TEST(Recorder, DroppedRoundFoldsIntoTheNextKeptRound) {
+  // Round 1 is dropped by the byte budget; its pending delta must carry
+  // into round 2, where the fire that undoes it cancels it out.
+  RecorderLimits limits;
+  limits.max_round_bytes = 200;
+  RunRecorder rec(limits);
+  rec.begin("test", "gamma", {{"[1]", 1}});
+  const auto fire = [&](std::vector<std::string> in,
+                        std::vector<std::string> out) {
+    obs::FireRecord f;
+    f.reaction = "R";
+    f.consumed = std::move(in);
+    f.produced = std::move(out);
+    rec.fire(std::move(f));
+  };
+  const std::string big = "[" + std::string(300, '9') + "]";
+  fire({}, {"[2]"});
+  rec.round();  // kept: +[2]
+  fire({"[1]"}, {big});
+  rec.round();  // dropped: -[1] +big is over the byte budget
+  fire({big}, {"[1]"});
+  rec.round();  // kept: the carried delta cancels, so the round is empty
+  rec.finish("completed", {{"[1]", 1}, {"[2]", 1}});
+  const Journal j = rec.take();
+
+  EXPECT_EQ(j.rounds_total, 3u);
+  EXPECT_EQ(j.rounds_dropped, 1u);
+  ASSERT_EQ(j.rounds.size(), 2u);  // no closing round: nothing left over
+  EXPECT_EQ(j.rounds[1].added, StoreCounts{});
+  EXPECT_EQ(j.rounds[1].removed, StoreCounts{});
+  EXPECT_EQ(j.rounds[1].fires, 2u);  // the dropped round's fire included
+  EXPECT_EQ(j.rounds[1].store_size, 2u);
+  EXPECT_EQ(obs::verify_journal(j), "");
+  expect_rounds_replay_their_fires(j);
 }
 
 TEST(Recorder, EscapedStringsSurviveRoundTrip) {
@@ -207,6 +355,45 @@ TEST(Recorder, WorklistJournalReplaysAcrossInjections) {
   EXPECT_EQ(parsed.final_store, final);
 }
 
+Journal record_worklist(RecorderLimits limits,
+                        StoreCounts* final = nullptr) {
+  const gamma::Program program = gamma::dsl::parse_program(kMin);
+  RunRecorder rec(limits);
+  runtime::WorklistOptions wopts;
+  wopts.seed = 11;
+  wopts.record = &rec;
+  runtime::IncrementalFixpoint fix(program, analysis::wakeup_keys(program),
+                                   wopts);
+  for (const auto& batch : {ints({9, 4, 7}), ints({12, 8}), ints({}),
+                            ints({3, 3, 15}), ints({1})}) {
+    EXPECT_EQ(fix.inject(batch), Outcome::Completed);
+  }
+  fix.finish_recording();
+  if (final != nullptr) *final = runtime::store_counts(fix.snapshot());
+  return rec.take();
+}
+
+TEST(Recorder, WorklistRoundsReplayTheirFires) {
+  const Journal j = record_worklist({});
+  EXPECT_EQ(j.rounds_total, 5u);  // one per inject, the empty one included
+  expect_rounds_replay_their_fires(j);
+}
+
+TEST(Recorder, WorklistTinyBudgetsKeepRoundsExact) {
+  RecorderLimits one;
+  one.max_fires = 1;
+  const Journal capped = record_worklist(one);
+  EXPECT_EQ(capped.fires.size(), 1u);
+  expect_same_rounds(capped, record_worklist({}));
+
+  RecorderLimits tiny;
+  tiny.max_rounds = 1;
+  tiny.max_round_bytes = 40;
+  StoreCounts final;
+  const Journal j = record_worklist(tiny, &final);
+  expect_dropped_rounds_fold_into_closing(j, final);
+}
+
 TEST(Recorder, VersionMismatchThrows) {
   EXPECT_THROW(
       (void)obs::parse_journal_string(
@@ -247,6 +434,37 @@ TEST(DataflowRecorder, InterpreterJournalReplaysToOutputs) {
   EXPECT_EQ(j.final_store, expected);
   EXPECT_EQ(obs::replay_fires(j, j.fires.size()), expected);
   EXPECT_EQ(obs::replay_rounds(j, j.rounds.size()), expected);
+}
+
+Journal record_interpreter(RecorderLimits limits) {
+  const dataflow::Graph g = paper::fig2_graph(6, 3, 10, true);
+  RunRecorder rec(limits);
+  dataflow::DfRunOptions opts;
+  opts.record = &rec;
+  (void)dataflow::Interpreter().run(g, opts, {});
+  return rec.take();
+}
+
+TEST(DataflowRecorder, InterpreterRoundsReplayTheirFires) {
+  const Journal j = record_interpreter({});
+  EXPECT_GE(j.rounds.size(), 5u);  // one per wavefront
+  expect_rounds_replay_their_fires(j);
+}
+
+TEST(DataflowRecorder, InterpreterTinyBudgetsKeepRoundsExact) {
+  RecorderLimits one;
+  one.max_fires = 1;
+  const Journal full = record_interpreter({});
+  const Journal capped = record_interpreter(one);
+  EXPECT_EQ(capped.fires.size(), 1u);
+  EXPECT_EQ(obs::verify_journal(capped), "");
+  expect_same_rounds(capped, full);
+
+  RecorderLimits tiny;
+  tiny.max_rounds = 1;
+  tiny.max_round_bytes = 40;
+  expect_dropped_rounds_fold_into_closing(record_interpreter(tiny),
+                                          full.final_store);
 }
 
 TEST(DataflowRecorder, ParallelEngineJournalReplays) {

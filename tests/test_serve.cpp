@@ -4,12 +4,21 @@
 // all three in-process engines and the full-rescan worklist baseline —
 // and the serve protocol's verbs and error replies must match the spec.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <memory>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gammaflow/analysis/interference.hpp"
@@ -351,6 +360,75 @@ TEST(ServeProtocol, LabelQueriesCountOnlyLiveField1Matches) {
   EXPECT_EQ(count("nope"), 0);
 }
 
+TEST(ServeProtocol, ElementQueriesCountLiveDuplicatesOffTheIndex) {
+  // The count comes off the store's index, not a snapshot: duplicates
+  // count with multiplicity, a consumed element (a dead row until
+  // compaction) does not, and neither does an element of another arity
+  // sharing its fields.
+  serve::Server server(join_daemon());
+  ASSERT_TRUE(call(server,
+                   R"({"verb":"create","session":"e","init":)"
+                   R"("[1,'open'] [1,'open'] [2,'open'] [7,'x'] [7,'x'] [7,'x',1]"})")
+                  .bool_or("ok", false));
+  ASSERT_TRUE(call(server,
+                   R"({"verb":"inject","session":"e","elements":"[1,'close']"})")
+                  .bool_or("ok", false));
+  const auto count = [&](const char* element) {
+    return call(server, std::string(R"({"verb":"query","session":"e","element":")") +
+                            element + R"("})")
+        .int_or("count", -1);
+  };
+  EXPECT_EQ(count("[1,'open']"), 1);   // one of the two was consumed
+  EXPECT_EQ(count("[1,'close']"), 0);  // consumed: a dead row only
+  EXPECT_EQ(count("[1,'done']"), 1);
+  EXPECT_EQ(count("[2,'open']"), 1);
+  EXPECT_EQ(count("[7,'x']"), 2);      // duplicates, arity 3 excluded
+  EXPECT_EQ(count("[7,'x',1]"), 1);
+  EXPECT_EQ(count("[9,'open']"), 0);   // absent value
+  EXPECT_EQ(count("[1,'nope']"), 0);   // absent label
+  EXPECT_EQ(count("[7]"), 0);          // absent arity
+}
+
+TEST(ServeProtocol, InlineJournalIsTheJournalWrittenToAFile) {
+  // `close` writes the journal text straight into its reply. The inline
+  // journal must parse to the same Journal as the file a --record-out
+  // daemon writes for the same session.
+  const auto run = [](serve::ServeOptions opts) {
+    serve::Server server(std::move(opts));
+    EXPECT_TRUE(call(server,
+                     R"({"verb":"create","session":"f","record":true,)"
+                     R"("init":"[1,'open'] [2,'open'] [3,'open']"})")
+                    .bool_or("ok", false));
+    EXPECT_TRUE(
+        call(server,
+             R"({"verb":"inject","session":"f","elements":"[1,'close'] [2,'close']"})")
+            .bool_or("ok", false));
+    return server.handle_line(R"({"verb":"close","session":"f"})");
+  };
+  const std::string reply = run(join_daemon());
+  const serve::Json closed = serve::parse_json(reply);
+  ASSERT_TRUE(closed.bool_or("ok", false));
+  EXPECT_EQ(closed.str_or("session", ""), "f");
+  EXPECT_EQ(reply.find('\n'), std::string::npos);  // still one line
+  const serve::Json* journal = closed.get("journal");
+  ASSERT_NE(journal, nullptr);
+  const obs::Journal inline_journal =
+      obs::parse_journal_string(journal->to_string());
+
+  serve::ServeOptions to_file = join_daemon();
+  to_file.record_out = ::testing::TempDir() + "gf_inline_journal.json";
+  const serve::Json written = serve::parse_json(run(to_file));
+  const std::string path = written.str_or("journal_path", "");
+  ASSERT_FALSE(path.empty());
+  std::ifstream in(path);
+  const obs::Journal file_journal = obs::parse_journal(in);
+  std::remove(path.c_str());
+
+  EXPECT_EQ(obs::journal_to_string(inline_journal),
+            obs::journal_to_string(file_journal));
+  EXPECT_EQ(obs::verify_journal(inline_journal), "");
+}
+
 TEST(ServeProtocol, RecordedJoinJournalReplaysInjectedSurvivors) {
   // Injected elements that survive to the final store ([3,'open'],
   // [4,'open']) were produced by no reaction; each inject is journaled as
@@ -560,6 +638,109 @@ TEST(ServeProtocol, StreamFrontPumpsLinesAndShutdownClosesSessions) {
   EXPECT_TRUE(parsed[2].bool_or("shutdown", false));
   EXPECT_TRUE(server.shutdown_requested());
   EXPECT_EQ(server.session_count(), 0u);
+}
+
+TEST(ServeSocket, LineSplitterScansOnceAndBoundsItsBuffer) {
+  serve::LineSplitter lines;
+  const std::string pipelined = "a\n\nbc\nde";
+  lines.append(pipelined.data(), pipelined.size());
+  EXPECT_EQ(lines.next(), "a");
+  EXPECT_EQ(lines.next(), "");
+  EXPECT_EQ(lines.next(), "bc");
+  EXPECT_EQ(lines.next(), std::nullopt);  // "de" waits for its newline
+  lines.append("f\n", 2);
+  EXPECT_EQ(lines.next(), "def");
+  EXPECT_EQ(lines.next(), std::nullopt);
+  EXPECT_FALSE(lines.too_long());
+
+  // A line with no newline: the buffer stops growing one chunk past the
+  // cap, and no line is ever handed out of it.
+  const std::string chunk(4096, 'x');
+  std::size_t fed = 0;
+  while (!lines.too_long()) {
+    lines.append(chunk.data(), chunk.size());
+    fed += chunk.size();
+    EXPECT_EQ(lines.next(), std::nullopt);
+    ASSERT_LE(lines.buffered(), serve::kMaxLineBytes + chunk.size());
+    ASSERT_LE(fed, serve::kMaxLineBytes + chunk.size());
+  }
+  lines.append("\n", 1);
+  EXPECT_EQ(lines.next(), std::nullopt);
+  EXPECT_LE(lines.buffered(), serve::kMaxLineBytes + chunk.size());
+
+  // A complete line over the cap is refused too.
+  serve::LineSplitter whole;
+  const std::string big = std::string(serve::kMaxLineBytes + 1, 'y') + "\n";
+  whole.append(big.data(), big.size());
+  EXPECT_EQ(whole.next(), std::nullopt);
+  EXPECT_TRUE(whole.too_long());
+}
+
+/// A raw Unix-socket connection to `path`, retried while the daemon binds.
+int connect_unix(const std::string& path) {
+  for (int attempt = 0; attempt < 200; ++attempt) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) return -1;
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) == 0) {
+      return fd;
+    }
+    ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return -1;
+}
+
+TEST(ServeSocket, OverlongLineGetsAnErrorAndTheConnectionCloses) {
+  serve::ServeOptions opts = min_daemon();
+  opts.socket_path = "/tmp/gf_test_serve_" + std::to_string(::getpid()) + ".sock";
+  serve::Server server(opts);
+  std::thread daemon([&server] { EXPECT_EQ(server.serve_socket(), 0); });
+
+  const int fd = connect_unix(opts.socket_path);
+  ASSERT_GE(fd, 0);
+  // Stream past the cap with no newline. The daemon stops reading once the
+  // line is over it, so later sends may fail: that is the point.
+  const std::string chunk(64 * 1024, 'x');
+  for (std::size_t sent = 0; sent <= serve::kMaxLineBytes;
+       sent += chunk.size()) {
+    if (::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL) < 0) break;
+  }
+  std::string reply;
+  char buf[4096];
+  ssize_t n = 0;
+  while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
+    reply.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);  // read() hit EOF: the daemon closed the connection
+  ASSERT_FALSE(reply.empty());
+  ASSERT_EQ(reply.back(), '\n');
+  reply.pop_back();
+  EXPECT_EQ(reply.find('\n'), std::string::npos);  // exactly one reply
+  const serve::Json err = serve::parse_json(reply);
+  EXPECT_FALSE(err.bool_or("ok", true));
+  EXPECT_EQ(err.str_or("error", ""), "line_too_long");
+
+  // A client that hangs up before its reply costs the daemon nothing.
+  const int gone = connect_unix(opts.socket_path);
+  ASSERT_GE(gone, 0);
+  const std::string ping = "{\"verb\":\"ping\"}\n";
+  ASSERT_EQ(::send(gone, ping.data(), ping.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(ping.size()));
+  ::close(gone);
+
+  // The daemon keeps serving other connections.
+  {
+    serve::Client client(opts.socket_path);
+    EXPECT_TRUE(
+        serve::parse_json(client.call(R"({"verb":"ping"})")).bool_or("pong", false));
+    EXPECT_TRUE(serve::parse_json(client.call(R"({"verb":"shutdown"})"))
+                    .bool_or("shutdown", false));
+  }
+  daemon.join();
 }
 
 TEST(ServeProtocol, SessionJournalPathInsertsSessionBeforeExtension) {

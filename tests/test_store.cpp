@@ -108,6 +108,30 @@ TEST(Store, BucketsStayBoundedUnderSlotReuse) {
   EXPECT_EQ(s.size(), 1u);
 }
 
+TEST(Store, CountReadsLiveOccupantsOffTheIndex) {
+  // count() agrees with the snapshot: duplicates count with multiplicity,
+  // arity and every field must match, and a slot re-occupied by the same
+  // element (its stale bucket entry still present, same id) counts once.
+  Store s;
+  const Element a = Element::tagged(Value(1), "A", 0);
+  s.insert(a);
+  s.insert(a);
+  s.insert(Element::labeled(Value(1), "A"));
+  s.insert(Element::tagged(Value(1), "B", 0));
+  const auto id = s.insert(Element{Value(7)});
+  s.remove(id);
+  EXPECT_EQ(s.insert(Element{Value(7)}), id);  // same slot, new generation
+  s.insert(Element{});
+  for (const Element& e :
+       {a, Element::labeled(Value(1), "A"), Element::tagged(Value(1), "B", 0),
+        Element{Value(7)}, Element{}, Element::tagged(Value(2), "A", 0),
+        Element{Value(8)}, Element{Value(7), Value(7)}}) {
+    EXPECT_EQ(s.count(e), s.to_multiset().count(e)) << e.to_string();
+  }
+  EXPECT_EQ(s.count(a), 2u);
+  EXPECT_EQ(s.count(Element{Value(7)}), 1u);
+}
+
 TEST(Store, ToMultisetRoundTrip) {
   const Multiset m{Element::tagged(Value(1), "A", 0),
                    Element::tagged(Value(1), "A", 0),
