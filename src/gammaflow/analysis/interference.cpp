@@ -10,6 +10,7 @@
 #include "gammaflow/common/rng.hpp"
 #include "gammaflow/gamma/engine.hpp"
 #include "gammaflow/gamma/store.hpp"
+#include "gammaflow/obs/run_recorder.hpp"
 #include "gammaflow/runtime/match_pipeline.hpp"
 
 namespace gammaflow::analysis {
@@ -189,8 +190,11 @@ Program tail_program(const Program& program, std::size_t from_stage) {
   return tail;
 }
 
-/// Reachable states sampled from one instrumented run, bucketed by the
-/// stage that was active when each state was visited.
+/// Reachable states sampled along one IndexedEngine run, bucketed by the
+/// stage that was active when each state was visited. A journaled run gives
+/// the fire count and each fire's stage; the state after k fires is the
+/// final multiset of the same seeded run cut at max_steps = k (the budget
+/// only stops the schedule, it never changes it, so the cut run is a prefix).
 std::vector<std::vector<Multiset>> sample_states(
     const Program& program, const Multiset& initial,
     const InterferenceOptions& options) {
@@ -199,28 +203,31 @@ std::vector<std::vector<Multiset>> sample_states(
 
   gamma::RunOptions ro;
   ro.seed = options.seed;
-  ro.record_trace = true;
   ro.max_steps = std::max<std::uint64_t>(options.probe_max_steps * 8, 4096);
-  ro.trace_limit = ro.max_steps;
   ro.limit_policy = LimitPolicy::Partial;
-  const gamma::RunResult run = gamma::IndexedEngine().run(program, initial, ro);
+  obs::RecorderLimits limits;
+  limits.max_fires = ro.max_steps;
+  obs::RunRecorder recorder(limits);
+  ro.record = &recorder;
+  (void)gamma::IndexedEngine().run(program, initial, ro);
+  const std::vector<obs::FireRecord> fires = recorder.take().fires;
+  ro.record = nullptr;
 
-  // Reconstruct every intermediate multiset, then keep an even sample.
-  std::vector<Multiset> states;
-  std::vector<std::size_t> state_stage;
-  Multiset current = initial;
-  states.push_back(current);
-  state_stage.push_back(run.trace.empty() ? 0 : run.trace.front().stage);
-  for (const gamma::FireEvent& ev : run.trace) {
-    for (const Element& e : ev.consumed) current.remove_one(e);
-    for (const Element& e : ev.produced) current.add(e);
-    states.push_back(current);
-    state_stage.push_back(ev.stage);
-  }
+  // State k (the multiset after k fires) belongs to fire k's stage; state 0
+  // to the first fire's.
+  const auto stage_of = [&](std::size_t k) {
+    return fires.empty()
+               ? std::size_t{0}
+               : static_cast<std::size_t>(fires[k == 0 ? 0 : k - 1].stage);
+  };
+  const std::size_t states = fires.size() + 1;
   const std::size_t want = std::max<std::size_t>(options.probe_states, 1);
-  const std::size_t stride = std::max<std::size_t>(states.size() / want, 1);
-  for (std::size_t k = 0; k < states.size(); k += stride) {
-    by_stage[state_stage[k]].push_back(std::move(states[k]));
+  const std::size_t stride = std::max<std::size_t>(states / want, 1);
+  for (std::size_t k = 0; k < states; k += stride) {
+    ro.max_steps = k;
+    by_stage[stage_of(k)].push_back(
+        k == 0 ? initial
+               : gamma::IndexedEngine().run(program, initial, ro).final_multiset);
   }
   return by_stage;
 }

@@ -54,7 +54,6 @@ class Machine {
       : graph_(graph),
         options_(options),
         loop_(options, options.max_fires, "interpreter", "max_fires"),
-        trace_(options),
         telemetry_(options, "df"),
         waiting_(graph.node_count()) {
     result_.fires_by_node.assign(graph.node_count(), 0);
@@ -195,8 +194,6 @@ class Machine {
       stats.count("df.steer_false", steer_false_);
     }
     result_.outcome = loop_.outcome();
-    result_.trace = trace_.take();
-    result_.trace_dropped = trace_.dropped();
     telemetry_.finish(result_.outcome, result_.metrics);
     if (jrec_ != nullptr) jrec_->finish(to_string(result_.outcome), snapshot());
     result_.wall_seconds = loop_.wall_seconds();
@@ -327,7 +324,6 @@ class Machine {
     if (tel_ != nullptr) {
       ++fires_by_kind_[static_cast<std::size_t>(graph_.node(node).kind)];
     }
-    if (trace_.admit()) trace_.push(node);
   }
 
   void collect_leftovers() {
@@ -354,7 +350,6 @@ class Machine {
   const Graph& graph_;
   const DfRunOptions& options_;
   runtime::StepLoop loop_;
-  runtime::TraceSink<NodeId> trace_;
   runtime::EngineTelemetry telemetry_;
   std::vector<std::unordered_map<Tag, Slots>> waiting_;
   std::deque<ReadyInstance> ready_;

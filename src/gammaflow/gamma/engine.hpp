@@ -67,13 +67,6 @@ struct RunOptions : runtime::RunOptions {
   std::map<std::string, std::size_t> conflict_classes;
 };
 
-struct FireEvent {
-  std::string reaction;
-  std::size_t stage = 0;
-  std::vector<Element> consumed;
-  std::vector<Element> produced;
-};
-
 struct RunResult {
   Multiset final_multiset;
   /// Why the run returned. Anything but Completed means final_multiset is
@@ -82,9 +75,6 @@ struct RunResult {
   /// Total reactions fired.
   std::uint64_t steps = 0;
   std::map<std::string, std::uint64_t> fires_by_reaction;
-  std::vector<FireEvent> trace;  // only when record_trace
-  /// Firings not recorded because the trace hit RunOptions::trace_limit.
-  std::uint64_t trace_dropped = 0;
   /// Engine-internal metrics (match attempts, conflicts, latencies, ...);
   /// empty unless RunOptions::telemetry was set.
   MetricsSnapshot metrics;

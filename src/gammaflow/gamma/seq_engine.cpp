@@ -4,7 +4,7 @@
 // "let x1..xn ∈ M, let i ∈ [1,m] such that Ri(x1..xn)" with a fair
 // nondeterministic choice. Quadratic-ish per step; the semantic oracle the
 // other engines are tested against. All scaffolding (deadline, cancel,
-// budget, trace cap, telemetry tail) lives in runtime::StepLoop & friends —
+// budget, telemetry tail) lives in runtime::StepLoop & friends —
 // this file is pure match-selection policy.
 #include "gammaflow/common/rng.hpp"
 #include "gammaflow/gamma/engine.hpp"
@@ -24,7 +24,6 @@ RunResult SequentialEngine::run(const Program& program, const Multiset& initial,
 
   runtime::StepLoop loop(options, options.max_steps, "sequential engine",
                          "max_steps");
-  runtime::TraceSink<FireEvent> trace(options);
   const runtime::RunRecording recording(options, "sequential", "gamma");
   recording.begin(initial);
   const runtime::EngineTelemetry telemetry(options, "gamma");
@@ -61,16 +60,6 @@ RunResult SequentialEngine::run(const Program& program, const Multiset& initial,
       const Match& chosen =
           matches[static_cast<std::size_t>(rng.bounded(matches.size()))];
       if (!loop.admit(result.steps)) break;
-      if (trace.admit()) {
-        FireEvent ev;
-        ev.reaction = chosen.reaction->name();
-        ev.stage = stage_idx;
-        for (const Store::Id id : chosen.ids) {
-          ev.consumed.push_back(store.element(id));
-        }
-        ev.produced = chosen.produced;
-        trace.push(std::move(ev));
-      }
       ++result.fires_by_reaction[chosen.reaction->name()];
       ++result.steps;
       const runtime::RecordCtx rctx =
@@ -90,8 +79,6 @@ RunResult SequentialEngine::run(const Program& program, const Multiset& initial,
     runtime::observe_reaction_compile(tel, program);
   }
   result.outcome = loop.outcome();
-  result.trace = trace.take();
-  result.trace_dropped = trace.dropped();
   telemetry.finish(result.outcome, result.metrics);
   result.final_multiset = store.to_multiset();
   recording.finish(result.outcome, result.final_multiset);

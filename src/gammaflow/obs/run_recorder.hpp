@@ -12,12 +12,11 @@
 // closing round use it). Both produce the same delta when every change is
 // a fire.
 //
-// Budgets mirror runtime::TraceSink's discipline: firings and rounds past
-// the caps still execute, the journal just stops growing and counts the
-// drops (fires_dropped / rounds_dropped). A journal with zero drops replays
-// exactly — replay_fires(j) == j.final_store — which is what
-// verify_journal() checks and the round-trip tests (and `gammaflow viz`'s
-// embedded data) rely on.
+// Budgets: firings and rounds past the caps still execute, the journal
+// just stops growing and counts the drops (fires_dropped / rounds_dropped).
+// A journal with zero drops replays exactly — replay_fires(j) ==
+// j.final_store — which is what verify_journal() checks and the round-trip
+// tests (and `gammaflow viz`'s embedded data) rely on.
 //
 // The recorder speaks strings (canonical Element / token renderings), not
 // gamma types: gf_obs stays dependent on gf_common alone, and one journal

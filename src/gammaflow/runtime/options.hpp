@@ -26,14 +26,6 @@ class RunRecorder;
 namespace gammaflow::runtime {
 
 struct RunOptions {
-  /// Record every firing in the result (FireEvents for Gamma, node ids for
-  /// dataflow). Ignored by the cluster (its trace is the metric set).
-  bool record_trace = false;
-  /// Cap on recorded trace entries: firings past the cap still execute but
-  /// are not recorded (`trace_dropped` counts them). Deliberately generous —
-  /// the cap turns a long `record_trace` run into a truncated trace instead
-  /// of an OOM, it does not make truncation routine.
-  std::uint64_t trace_limit = 1'000'000;
   /// Worker count (the parallel engines; ignored by single-threaded ones
   /// and by the cluster, whose concurrency is `nodes`).
   unsigned workers = std::max(2u, std::thread::hardware_concurrency());

@@ -13,7 +13,6 @@
 //   InFlight        — token/message in-flight counting (the dataflow
 //                     ParallelEngine's quiescence condition; the distributed
 //                     cluster's Safra counters are the per-node refinement).
-//   TraceSink       — the record_trace / trace_limit / trace_dropped triple.
 //   EngineTelemetry — the end-of-run metric tail every engine emits the same
 //                     way: "<domain>.outcome.*", "<domain>.eval_mode.*", the
 //                     batch-evaluation deltas, and the registry snapshot.
@@ -28,8 +27,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "gammaflow/common/cancel.hpp"
 #include "gammaflow/common/error.hpp"
@@ -201,45 +198,6 @@ class InFlight {
 
  private:
   std::atomic<std::int64_t> count_{0};
-};
-
-/// The record_trace / trace_limit / trace_dropped triple. Usage:
-///   if (sink.admit()) sink.push(Event{...});
-/// admit() is false when tracing is off (free) or the cap is hit (counts the
-/// drop), so callers never construct an event that will not be kept.
-template <typename Event>
-class TraceSink {
- public:
-  TraceSink(bool enabled, std::uint64_t limit) noexcept
-      : enabled_(enabled), limit_(limit) {}
-  explicit TraceSink(const RunOptions& options) noexcept
-      : TraceSink(options.record_trace, options.trace_limit) {}
-
-  [[nodiscard]] bool admit() noexcept {
-    if (!enabled_) return false;
-    if (events_.size() < limit_) return true;
-    ++dropped_;
-    return false;
-  }
-  void push(Event event) { events_.push_back(std::move(event)); }
-
-  [[nodiscard]] std::vector<Event> take() noexcept { return std::move(events_); }
-  [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
-  /// Merge a worker-local sink into this one (drops included), preserving
-  /// the cap. Call after join, in a deterministic worker order.
-  void merge(TraceSink&& other) {
-    for (Event& ev : other.events_) {
-      if (admit()) push(std::move(ev));
-    }
-    dropped_ += other.dropped_;
-    other.events_.clear();
-  }
-
- private:
-  bool enabled_;
-  std::uint64_t limit_;
-  std::vector<Event> events_;
-  std::uint64_t dropped_ = 0;
 };
 
 /// The end-of-run telemetry tail every engine emits identically, null-safe

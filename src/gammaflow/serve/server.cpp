@@ -5,15 +5,16 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <list>
 #include <ostream>
 #include <sstream>
 #include <thread>
 #include <utility>
-#include <vector>
 
 #include "gammaflow/common/cancel.hpp"
 #include "gammaflow/common/error.hpp"
@@ -445,8 +446,19 @@ int Server::serve_socket() {
     return 1;
   }
 
-  std::vector<std::thread> workers;
+  // One thread per connection. A finished one is joined on the next pass
+  // of the accept loop, so a long-lived daemon holds only its open ones.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Connection> connections;
   while (!shutdown_requested()) {
+    std::erase_if(connections, [](Connection& c) {
+      if (!c.done.load(std::memory_order_acquire)) return false;
+      c.thread.join();
+      return true;
+    });
     // Poll with a timeout so a shutdown verb handled on a connection
     // thread breaks the accept loop within ~200ms.
     pollfd pfd{};
@@ -457,7 +469,8 @@ int Server::serve_socket() {
     if (ready <= 0) continue;
     const int conn = ::accept(listen_fd, nullptr, nullptr);
     if (conn < 0) continue;
-    workers.emplace_back([this, conn] {
+    Connection& c = connections.emplace_back();
+    c.thread = std::thread([this, conn, &done = c.done] {
       LineSplitter lines;
       char chunk[4096];
       bool open = true;
@@ -484,9 +497,10 @@ int Server::serve_socket() {
         if (shutdown_requested()) break;
       }
       ::close(conn);
+      done.store(true, std::memory_order_release);
     });
   }
-  for (std::thread& t : workers) t.join();
+  for (Connection& c : connections) c.thread.join();
   ::close(listen_fd);
   ::unlink(path.c_str());
   return 0;

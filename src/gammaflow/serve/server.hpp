@@ -102,7 +102,8 @@ class Server {
   void serve_stream(std::istream& in, std::ostream& out);
 
   /// Binds options.socket_path, accepts until a shutdown verb (thread per
-  /// connection). Returns 0 on clean shutdown, 1 on socket setup failure.
+  /// connection, joined once finished). Returns 0 on clean shutdown, 1 on
+  /// socket setup failure.
   int serve_socket();
 
   [[nodiscard]] bool shutdown_requested() const noexcept {

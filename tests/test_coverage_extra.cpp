@@ -7,6 +7,7 @@
 #include "gammaflow/frontend/compile.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
+#include "gammaflow/obs/run_recorder.hpp"
 #include "gammaflow/paper/figures.hpp"
 
 namespace gammaflow {
@@ -69,13 +70,15 @@ TEST(EngineOptions, ParallelTraceCoversAllStages) {
   const auto p = gamma::dsl::parse_program(
       "A = replace [x,'p'] by [x + 1,'q'] ; B = replace [x,'q'] by [x * 2,'r']");
   const gamma::Multiset m{gamma::Element::labeled(Value(5), "p")};
+  obs::RunRecorder rec;
   gamma::RunOptions opts;
-  opts.record_trace = true;
+  opts.record = &rec;
   opts.workers = 2;
   const auto r = gamma::ParallelEngine().run(p, m, opts);
-  ASSERT_EQ(r.trace.size(), 2u);
-  EXPECT_EQ(r.trace[0].stage, 0u);
-  EXPECT_EQ(r.trace[1].stage, 1u);
+  const obs::Journal j = rec.take();
+  ASSERT_EQ(j.fires.size(), 2u);
+  EXPECT_EQ(j.fires[0].stage, 0);
+  EXPECT_EQ(j.fires[1].stage, 1);
   EXPECT_EQ(r.final_multiset, (gamma::Multiset{gamma::Element::labeled(Value(12), "r")}));
 }
 

@@ -10,6 +10,7 @@
 
 #include "gammaflow/common/strings.hpp"
 #include "gammaflow/dataflow/engine.hpp"
+#include "gammaflow/obs/run_recorder.hpp"
 #include "gammaflow/paper/figures.hpp"
 
 namespace gammaflow::dataflow {
@@ -301,28 +302,36 @@ TEST(Interpreter, WavefrontsExposeParallelism) {
 }
 
 TEST(Interpreter, TraceIsTopologicallyConsistent) {
+  obs::RunRecorder rec;
   DfRunOptions opts;
-  opts.record_trace = true;
-  const Graph g = paper::fig1_graph();
-  const auto r = Interpreter().run(g, opts);
-  ASSERT_EQ(r.trace.size(), r.fires);
+  opts.record = &rec;
+  const auto r = Interpreter().run(paper::fig1_graph(), opts);
+  const obs::Journal j = rec.take();
+  ASSERT_EQ(j.fires_dropped, 0u);
+  ASSERT_EQ(j.fires.size(), r.fires);
   // R3 must fire after both R1 and R2.
-  auto pos = [&](const char* name) {
-    const NodeId id = *g.find(name);
-    return std::find(r.trace.begin(), r.trace.end(), id) - r.trace.begin();
+  auto pos = [&](const char* label) {
+    const auto it = std::find_if(
+        j.fires.begin(), j.fires.end(),
+        [&](const obs::FireRecord& f) { return f.reaction == label; });
+    EXPECT_NE(it, j.fires.end()) << label;
+    return it - j.fires.begin();
   };
   EXPECT_GT(pos("R3"), pos("R1"));
   EXPECT_GT(pos("R3"), pos("R2"));
 }
 
 TEST(Interpreter, TraceLimitCapsRecording) {
+  obs::RecorderLimits limits;
+  limits.max_fires = 3;
+  obs::RunRecorder rec(limits);
   DfRunOptions opts;
-  opts.record_trace = true;
-  opts.trace_limit = 3;
+  opts.record = &rec;
   const auto r = Interpreter().run(paper::fig1_graph(), opts);
+  const obs::Journal j = rec.take();
   EXPECT_EQ(r.fires, 8u);  // execution unaffected
-  EXPECT_EQ(r.trace.size(), 3u);
-  EXPECT_EQ(r.trace_dropped, 5u);
+  EXPECT_EQ(j.fires.size(), 3u);
+  EXPECT_EQ(j.fires_dropped, 5u);
 }
 
 TEST(Interpreter, DuplicateOperandDetected) {

@@ -1,6 +1,6 @@
 // Engine semantics, parameterized over all three implementations: classic
 // Gamma programs (min, max, gcd, sum, sieve, sort), termination, fairness,
-// step limits, traces, sequential stages.
+// step limits, fire journals, sequential stages.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -9,6 +9,7 @@
 
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
+#include "gammaflow/obs/run_recorder.hpp"
 
 namespace gammaflow::gamma {
 namespace {
@@ -40,9 +41,20 @@ Multiset ints(std::initializer_list<std::int64_t> values) {
   return m;
 }
 
+/// Runs `p` on the suite's engine with a recorder capped at `limits`.
+obs::Journal record(Kind kind, const Program& p, const Multiset& m,
+                    obs::RecorderLimits limits, RunResult* result) {
+  obs::RunRecorder rec(limits);
+  RunOptions opts;
+  opts.workers = 3;
+  opts.record = &rec;
+  *result = make_engine(kind)->run(p, m, opts);
+  return rec.take();
+}
+
 TEST_P(EngineSuite, TraceLimitCapsRecordingWithoutChangingTheRun) {
-  // 31 elements => 30 firings; a limit of 5 keeps the first 5 events and
-  // counts the rest as dropped, while execution itself is unaffected.
+  // 31 elements => 30 firings; a journal capped at 5 fires keeps 5 records
+  // and counts the rest as dropped, while execution itself is unaffected.
   const Program p = dsl::parse_program("Rsum = replace x, y by x + y");
   Multiset m;
   std::int64_t total = 0;
@@ -50,25 +62,23 @@ TEST_P(EngineSuite, TraceLimitCapsRecordingWithoutChangingTheRun) {
     m.add(Element{Value(i)});
     total += i;
   }
-  RunOptions opts;
-  opts.workers = 3;
-  opts.record_trace = true;
-  opts.trace_limit = 5;
-  const auto r = make_engine(GetParam())->run(p, m, opts);
+  obs::RecorderLimits limits;
+  limits.max_fires = 5;
+  RunResult r;
+  const obs::Journal j = record(GetParam(), p, m, limits, &r);
   EXPECT_EQ(r.final_multiset, ints({total}));
   EXPECT_EQ(r.steps, 30u);
-  EXPECT_EQ(r.trace.size(), 5u);
-  EXPECT_EQ(r.trace_dropped, 25u);
+  EXPECT_EQ(j.fires.size(), 5u);
+  EXPECT_EQ(j.fires_dropped, 25u);
 }
 
 TEST_P(EngineSuite, DefaultTraceLimitRecordsEverything) {
   const Program p = dsl::parse_program("Rsum = replace x, y by x + y");
-  RunOptions opts;
-  opts.workers = 3;
-  opts.record_trace = true;
-  const auto r = make_engine(GetParam())->run(p, ints({1, 2, 3, 4, 5}), opts);
-  EXPECT_EQ(r.trace.size(), 4u);
-  EXPECT_EQ(r.trace_dropped, 0u);
+  RunResult r;
+  const obs::Journal j =
+      record(GetParam(), p, ints({1, 2, 3, 4, 5}), {}, &r);
+  EXPECT_EQ(j.fires.size(), 4u);
+  EXPECT_EQ(j.fires_dropped, 0u);
 }
 
 TEST_P(EngineSuite, MinElement) {
@@ -282,20 +292,21 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, EngineSuite,
 
 TEST(SequentialEngine, TraceRecordsEveryFiring) {
   const Program p = dsl::parse_program("R = replace x, y by x + y");
+  obs::RunRecorder rec;
   RunOptions opts;
-  opts.record_trace = true;
-  const auto r = SequentialEngine().run(p, Multiset{Element{Value(1)},
-                                                    Element{Value(2)},
-                                                    Element{Value(3)}},
-                                        opts);
-  ASSERT_EQ(r.trace.size(), 2u);
-  for (const FireEvent& ev : r.trace) {
-    EXPECT_EQ(ev.reaction, "R");
-    EXPECT_EQ(ev.consumed.size(), 2u);
-    EXPECT_EQ(ev.produced.size(), 1u);
+  opts.record = &rec;
+  (void)SequentialEngine().run(
+      p, Multiset{Element{Value(1)}, Element{Value(2)}, Element{Value(3)}},
+      opts);
+  const obs::Journal j = rec.take();
+  ASSERT_EQ(j.fires.size(), 2u);
+  for (const obs::FireRecord& f : j.fires) {
+    EXPECT_EQ(f.reaction, "R");
+    EXPECT_EQ(f.consumed.size(), 2u);
+    EXPECT_EQ(f.produced.size(), 1u);
   }
-  // Trace replays to the final multiset.
-  EXPECT_EQ(r.trace.back().produced[0], Element{Value(6)});
+  // The last fire produces the final multiset.
+  EXPECT_EQ(j.fires.back().produced[0], Element{Value(6)}.to_string());
 }
 
 TEST(SequentialEngine, UniformChoiceVariesWithSeed) {
@@ -306,13 +317,14 @@ TEST(SequentialEngine, UniformChoiceVariesWithSeed) {
                    Element{Value(4)}};
   std::set<std::string> first_consumed;
   for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    obs::RunRecorder rec;
     RunOptions opts;
     opts.seed = seed;
-    opts.record_trace = true;
-    const auto r = SequentialEngine().run(p, m, opts);
-    ASSERT_FALSE(r.trace.empty());
-    first_consumed.insert(r.trace[0].consumed[0].to_string() +
-                          r.trace[0].consumed[1].to_string());
+    opts.record = &rec;
+    (void)SequentialEngine().run(p, m, opts);
+    const obs::Journal j = rec.take();
+    ASSERT_FALSE(j.fires.empty());
+    first_consumed.insert(j.fires[0].consumed[0] + j.fires[0].consumed[1]);
   }
   EXPECT_GT(first_consumed.size(), 2u);
 }
@@ -322,13 +334,15 @@ TEST(IndexedEngine, TraceStagesAreMonotone) {
     A = replace [x,'p'] by [x,'q'] ;
     B = replace [x,'q'] by [x,'r']
   )");
+  obs::RunRecorder rec;
   RunOptions opts;
-  opts.record_trace = true;
+  opts.record = &rec;
   const auto r = IndexedEngine().run(
       p, Multiset{Element::labeled(Value(1), "p")}, opts);
-  ASSERT_EQ(r.trace.size(), 2u);
-  EXPECT_EQ(r.trace[0].stage, 0u);
-  EXPECT_EQ(r.trace[1].stage, 1u);
+  const obs::Journal j = rec.take();
+  ASSERT_EQ(j.fires.size(), 2u);
+  EXPECT_EQ(j.fires[0].stage, 0);
+  EXPECT_EQ(j.fires[1].stage, 1);
   EXPECT_EQ(r.final_multiset, (Multiset{Element::labeled(Value(1), "r")}));
 }
 

@@ -1,7 +1,7 @@
 // Whole-pipeline property tests: random imperative programs through every
 // stage — compile, optimize, both dataflow engines, Algorithm 1, all three
 // Gamma engines, the distributed cluster — must agree on every observable.
-// Plus trace-replay validation of engine runs.
+// Plus journal-replay validation of engine runs.
 #include <gtest/gtest.h>
 
 #include "gammaflow/dataflow/engine.hpp"
@@ -10,8 +10,9 @@
 #include "gammaflow/frontend/compile.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
-#include "gammaflow/gamma/replay.hpp"
+#include "gammaflow/obs/run_recorder.hpp"
 #include "gammaflow/paper/figures.hpp"
+#include "gammaflow/runtime/step_loop.hpp"
 #include "gammaflow/translate/df_to_gamma.hpp"
 #include "gammaflow/translate/equivalence.hpp"
 
@@ -85,16 +86,36 @@ TEST(PipelineProperty, LooplessProgramsSweep) {
   }
 }
 
-// ---- trace replay validation ----
+// ---- journal replay validation ----
+
+struct Recorded {
+  gamma::RunResult run;
+  obs::Journal journal;
+};
+
+Recorded record(const gamma::Engine& engine, const gamma::Program& p,
+                const gamma::Multiset& m, gamma::RunOptions opts = {}) {
+  obs::RunRecorder rec;
+  opts.record = &rec;
+  Recorded out{engine.run(p, m, opts), {}};
+  out.journal = rec.take();
+  return out;
+}
+
+/// Every fire was kept, and replaying them from the initial store reaches
+/// the run's own final multiset.
+void expect_fires_replay(const Recorded& r) {
+  ASSERT_EQ(r.journal.fires_dropped, 0u);
+  EXPECT_EQ(obs::verify_journal(r.journal), "");
+  EXPECT_EQ(obs::replay_fires(r.journal, r.journal.fires.size()),
+            runtime::store_counts(r.run.final_multiset));
+}
 
 TEST(Replay, SequentialEngineTraceReplays) {
   const auto conv =
       translate::dataflow_to_gamma(paper::fig2_graph(5, 3, 10, true));
-  gamma::RunOptions opts;
-  opts.record_trace = true;
-  const auto run =
-      gamma::SequentialEngine().run(conv.program, conv.initial, opts);
-  EXPECT_TRUE(gamma::validate_run(conv.initial, run));
+  expect_fires_replay(
+      record(gamma::SequentialEngine(), conv.program, conv.initial));
 }
 
 TEST(Replay, IndexedEngineTraceReplays) {
@@ -102,43 +123,51 @@ TEST(Replay, IndexedEngineTraceReplays) {
       "R = replace x, y by [x - y], [y] where x > y");
   const gamma::Multiset m{gamma::Element{Value(12)}, gamma::Element{Value(18)},
                           gamma::Element{Value(30)}};
-  gamma::RunOptions opts;
-  opts.record_trace = true;
-  const auto run = gamma::IndexedEngine().run(p, m, opts);
-  EXPECT_TRUE(gamma::validate_run(m, run));
-  EXPECT_EQ(gamma::replay_trace(m, run.trace), run.final_multiset);
+  expect_fires_replay(record(gamma::IndexedEngine(), p, m));
 }
 
 TEST(Replay, ParallelEngineTraceIsLinearizable) {
-  // The recorded commit order must be a valid sequential schedule — the
+  // The journal's commit order must be a valid sequential schedule — the
   // linearizability witness for the optimistic engine.
   const auto p = gamma::dsl::parse_program("R = replace x, y by x + y");
   gamma::Multiset m;
   for (std::int64_t i = 1; i <= 200; ++i) m.add(gamma::Element{Value(i)});
   gamma::RunOptions opts;
-  opts.record_trace = true;
   opts.workers = 4;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
     opts.seed = seed;
-    const auto run = gamma::ParallelEngine().run(p, m, opts);
-    EXPECT_TRUE(gamma::validate_run(m, run)) << "seed " << seed;
+    expect_fires_replay(record(gamma::ParallelEngine(), p, m, opts));
   }
 }
 
 TEST(Replay, CorruptTraceIsRejected) {
+  // Three summands: the second fire consumes the first one's product, so
+  // swapping them, or naming an element that never existed, is an invalid
+  // schedule whose replay misses the final store.
   const auto p = gamma::dsl::parse_program("R = replace x, y by x + y");
-  const gamma::Multiset m{gamma::Element{Value(1)}, gamma::Element{Value(2)}};
-  gamma::RunOptions opts;
-  opts.record_trace = true;
-  auto run = gamma::IndexedEngine().run(p, m, opts);
-  ASSERT_EQ(run.trace.size(), 1u);
-  run.trace[0].consumed[0] = gamma::Element{Value(99)};  // never existed
-  EXPECT_THROW((void)gamma::replay_trace(m, run.trace), EngineError);
+  const gamma::Multiset m{gamma::Element{Value(1)}, gamma::Element{Value(2)},
+                          gamma::Element{Value(3)}};
+  const obs::Journal j = record(gamma::IndexedEngine(), p, m).journal;
+  ASSERT_EQ(j.fires.size(), 2u);
+  ASSERT_EQ(obs::verify_journal(j), "");
+
+  obs::Journal swapped = j;
+  std::swap(swapped.fires.front(), swapped.fires.back());
+  EXPECT_NE(obs::verify_journal(swapped), "");
+
+  obs::Journal corrupt = j;
+  corrupt.fires[0].consumed[0] = gamma::Element{Value(99)}.to_string();
+  EXPECT_NE(obs::verify_journal(corrupt), "");
 }
 
 TEST(Replay, EmptyTraceIsIdentity) {
+  const auto p = gamma::dsl::parse_program("R = replace x, y by x + y");
   const gamma::Multiset m{gamma::Element{Value(7)}};
-  EXPECT_EQ(gamma::replay_trace(m, {}), m);
+  const Recorded r = record(gamma::IndexedEngine(), p, m);
+  ASSERT_TRUE(r.journal.fires.empty());
+  EXPECT_EQ(obs::replay_fires(r.journal, 0), runtime::store_counts(m));
+  EXPECT_EQ(obs::verify_journal(r.journal), "");
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gammaflow/analysis/interference.hpp"
@@ -217,6 +218,49 @@ TEST_P(GammaRecorderSuite, TinyRoundBudgetsFoldIntoTheClosingRound) {
 
 INSTANTIATE_TEST_SUITE_P(Engines, GammaRecorderSuite,
                          ::testing::Values("seq", "idx", "par"));
+
+TEST(Recorder, BudgetCutIndexedRunsArePrefixesOfTheJournal) {
+  // The interference analysis samples reachable states this way: the state
+  // after k fires of a seeded IndexedEngine run is the final multiset of the
+  // same run cut at max_steps = k. The budget only stops the schedule, so
+  // the cut run's state is the journal's fire replay up to k.
+  gamma::Multiset sieve;
+  for (std::int64_t i = 2; i <= 60; ++i) sieve.add(gamma::Element({Value(i)}));
+  gamma::Multiset labelled;
+  for (std::int64_t i = 1; i <= 6; ++i) {
+    labelled.add(gamma::Element::labeled(Value(i), "p"));
+  }
+  const std::vector<std::pair<const char*, gamma::Multiset>> cases = {
+      {kMin, descending(20)},
+      {"Rsieve = replace x, y by [x] where (y % x == 0) and (x > 1)", sieve},
+      {kDoubleThenMin, descending(12)},
+      {"A = replace [x,'p'], [y,'p'] by [x + y,'p'] ; "
+       "B = replace [x,'p'] by [x * 2,'q']",
+       labelled}};
+  for (const auto& [text, initial] : cases) {
+    const gamma::Program program = gamma::dsl::parse_program(text);
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(std::string(text) + " seed " + std::to_string(seed));
+      RunRecorder rec;
+      gamma::RunOptions opts;
+      opts.seed = seed;
+      opts.record = &rec;
+      (void)gamma::IndexedEngine().run(program, initial, opts);
+      const Journal j = rec.take();
+      ASSERT_EQ(j.fires_dropped, 0u);
+      ASSERT_GT(j.fires.size(), 1u);
+      opts.record = nullptr;
+      opts.limit_policy = LimitPolicy::Partial;
+      for (std::size_t k = 1; k <= j.fires.size(); ++k) {
+        opts.max_steps = k;
+        const auto cut = gamma::IndexedEngine().run(program, initial, opts);
+        EXPECT_EQ(runtime::store_counts(cut.final_multiset),
+                  obs::replay_fires(j, k))
+            << "k " << k;
+      }
+    }
+  }
+}
 
 TEST(Recorder, TinyBudgetCountsDropsAndStillConverges) {
   const gamma::Program program = gamma::dsl::parse_program(kMin);

@@ -4,10 +4,12 @@
 // all three in-process engines and the full-rescan worklist baseline —
 // and the serve protocol's verbs and error replies must match the spec.
 #include <gtest/gtest.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -740,6 +742,66 @@ TEST(ServeSocket, OverlongLineGetsAnErrorAndTheConnectionCloses) {
     EXPECT_TRUE(serve::parse_json(client.call(R"({"verb":"shutdown"})"))
                     .bool_or("shutdown", false));
   }
+  daemon.join();
+}
+
+/// This process's mapped address space in KiB (VmSize).
+std::size_t vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoul(line.substr(7));
+  }
+  return 0;
+}
+
+TEST(ServeSocket, FinishedConnectionThreadsAreReaped) {
+  // A finished thread leaves /proc/self/task at exit whether or not it was
+  // joined; what an unjoined one keeps is its stack mapping. So the daemon
+  // holding every connection's thread shows as address space growing by one
+  // thread stack per connection served.
+  pthread_attr_t attr;
+  ASSERT_EQ(::pthread_getattr_default_np(&attr), 0);
+  std::size_t stack_bytes = 0;
+  ASSERT_EQ(::pthread_attr_getstacksize(&attr, &stack_bytes), 0);
+  ::pthread_attr_destroy(&attr);
+
+  serve::ServeOptions opts = min_daemon();
+  opts.socket_path =
+      "/tmp/gf_test_serve_reap_" + std::to_string(::getpid()) + ".sock";
+  serve::Server server(opts);
+  std::thread daemon([&server] { EXPECT_EQ(server.serve_socket(), 0); });
+  const int first = connect_unix(opts.socket_path);
+  ASSERT_GE(first, 0);
+  ::close(first);
+
+  const auto ping = [&] {
+    serve::Client client(opts.socket_path);
+    EXPECT_TRUE(serve::parse_json(client.call(R"({"verb":"ping"})"))
+                    .bool_or("pong", false));
+  };
+  // Warm up: a few overlapping connections first, so the thread stacks and
+  // allocator arenas that sequential connections reuse already exist.
+  {
+    std::vector<std::unique_ptr<serve::Client>> open;
+    for (int i = 0; i < 3; ++i) {
+      open.push_back(std::make_unique<serve::Client>(opts.socket_path));
+    }
+    for (auto& client : open) (void)client->call(R"({"verb":"ping"})");
+  }
+  for (int i = 0; i < 4; ++i) ping();
+
+  const std::size_t before = vm_size_kib();
+  constexpr int kConnections = 32;
+  for (int i = 0; i < kConnections; ++i) ping();
+  const std::size_t after = vm_size_kib();
+  ASSERT_GT(before, 0u);
+  // Held threads would add kConnections stacks; reaped ones add about none.
+  EXPECT_LT(after - std::min(after, before),
+            kConnections / 2 * (stack_bytes / 1024))
+      << "VmSize " << before << " -> " << after << " KiB";
+
+  (void)serve::Client(opts.socket_path).call(R"({"verb":"shutdown"})");
   daemon.join();
 }
 
